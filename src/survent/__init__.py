@@ -73,7 +73,6 @@ from .redistribution import (
     binned_row_masses,
     build_cross_weight_matrix,
     build_weight_matrix,
-    iter_weight_rows,
     km_estimate,
 )
 from .simgen import (
@@ -129,7 +128,6 @@ __all__ = [
     "ingest_csv",
     "interacting_flag",
     "invert_reserve",
-    "iter_weight_rows",
     "km_estimate",
     "km_quantile_bins",
     "marginal_entropies",

@@ -21,18 +21,7 @@ import numpy as np
 from .binning import BinningScheme
 from .contingency import ContingencyTable, censor_cross_table
 from .data import Dataset
-from .entropy import _entropy_of_counts
-
-
-def _entropies_of_rows(counts: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a nonnegative count matrix."""
-    totals = counts.sum(axis=1)
-    safe = np.where(counts > 0, counts, 1.0)
-    clogc = (counts * np.log(safe)).sum(axis=1)
-    out = np.zeros(counts.shape[0])
-    pos = totals > 0
-    out[pos] = np.log(totals[pos]) - clogc[pos] / totals[pos]
-    return out
+from .entropy import _entropies_of_rows, _entropy_of_counts
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -198,7 +187,7 @@ def run_censor_test(dataset: Dataset | None = None,
     censoring-vs-event table is built by redistribution), or feed a
     prebuilt ``table`` directly.  Row totals are fractional after
     redistribution; multinomial draws use them rounded (``rounding``
-    selects round-half-even or floor).  ``two_sided=False`` reads only the
+    selects round-half-up or floor).  ``two_sided=False`` reads only the
     low tail, where dependence shows up.
     """
     notes: list[str] = []

@@ -122,6 +122,24 @@ def _write_rows(path: Path, rows: list[dict],
     return path
 
 
+def _write_cox(fitres, outdir: Path) -> list[Path]:
+    """Write ``cox.csv`` and ``cox.json``; warn on stderr if the fit did not
+    converge."""
+    rows = fitres.summary_rows()
+    _write_rows(outdir / "cox.csv", rows)
+    with open(outdir / "cox.json", "w", encoding="utf-8") as fh:
+        json.dump({"converged": fitres.converged,
+                   "iterations": fitres.iterations,
+                   "loglik": fitres.loglik,
+                   "singular": fitres.singular,
+                   "message": fitres.message,
+                   "coefficients": rows}, fh, indent=2)
+    if not fitres.converged:
+        print(f"warning: {fitres.message or 'did not converge'}",
+              file=sys.stderr)
+    return [outdir / "cox.csv", outdir / "cox.json"]
+
+
 def cmd_simulate(args) -> int:
     if not 0 < args.censor_rate < 1:
         raise UsageError("--censor-rate must lie strictly between 0 and 1")
@@ -142,7 +160,7 @@ def cmd_simulate(args) -> int:
 def _run_mfs_reports(dataset, scheme, cats, args, outdir, prefix="",
                      features=None) -> list[Path]:
     reports = run_mfs(dataset, scheme, cats=cats, max_order=args.max_order,
-                      features=features, workers=args.workers)
+                      features=features)
     written = []
     if args.reliability > 0:
         null = reliability_null(dataset, scheme, cats=cats,
@@ -178,16 +196,7 @@ def cmd_analyze(args) -> int:
     written = _run_mfs_reports(dataset, scheme, cats, args, outdir)
 
     if not args.no_cox:
-        fitres = cox_fit(dataset)
-        written.append(_write_rows(outdir / "cox.csv", fitres.summary_rows()))
-        with open(outdir / "cox.json", "w", encoding="utf-8") as fh:
-            json.dump({"converged": fitres.converged,
-                       "iterations": fitres.iterations,
-                       "loglik": fitres.loglik,
-                       "singular": fitres.singular,
-                       "message": fitres.message,
-                       "coefficients": fitres.summary_rows()}, fh, indent=2)
-        written.append(outdir / "cox.json")
+        written += _write_cox(cox_fit(dataset), outdir)
 
     if dataset.n_c and dataset.n_u:
         result = run_censor_test(dataset, scheme, n_sim=args.n_sim,
@@ -289,20 +298,9 @@ def cmd_cox(args) -> int:
     outdir = _outdir(args)
     features = args.features.split(",") if args.features else None
     fitres = cox_fit(dataset, features=features)
-    written = [_write_rows(outdir / "cox.csv", fitres.summary_rows())]
-    with open(outdir / "cox.json", "w", encoding="utf-8") as fh:
-        json.dump({"converged": fitres.converged,
-                   "iterations": fitres.iterations,
-                   "loglik": fitres.loglik,
-                   "singular": fitres.singular,
-                   "message": fitres.message,
-                   "coefficients": fitres.summary_rows()}, fh, indent=2)
-    written.append(outdir / "cox.json")
+    written = _write_cox(fitres, outdir)
     manifest.add_outputs(written)
     manifest.write(outdir)
-    if not fitres.converged:
-        print(f"warning: {fitres.message or 'did not converge'}",
-              file=sys.stderr)
     print(f"cox: loglik {fitres.loglik:.4f}, converged={fitres.converged}")
     return 0
 
@@ -314,8 +312,6 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
                        help="JSON column-role config")
         p.add_argument("--outdir", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for feature-set evaluation")
 
 
 def _add_binning(p: argparse.ArgumentParser) -> None:

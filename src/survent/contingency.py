@@ -18,7 +18,7 @@ import numpy as np
 
 from .binning import BinningScheme, categorize
 from .data import Dataset
-from .redistribution import WeightMatrix, build_cross_weight_matrix
+from .redistribution import WeightMatrix, binned_row_masses
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def table_from_binned(binned: np.ndarray, row_cats: np.ndarray,
                       col_labels: Sequence[Hashable] | None = None) -> ContingencyTable:
     """Weighted table from per-subject binned masses (n x k) and row codes.
 
-    The fast path behind :func:`table_from_weights`: ``binned[i, b]`` is the
-    redistributed mass of subject ``i`` in time bin ``b``.
+    ``binned[i, b]`` is the redistributed mass of subject ``i`` in time bin
+    ``b``, as returned by :func:`binned_row_masses`.
     """
     B = np.asarray(binned, dtype=float)
     cats = np.asarray(row_cats)
@@ -147,6 +147,10 @@ def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
     grouped by ``time_scheme``; cell (a, b) accumulates all weight that
     subjects of category ``a`` place on event times in bin ``b``.  The table
     total equals the number of rows (each row carries unit mass).
+
+    Reference construction on a dense :class:`WeightMatrix`, kept as a test
+    oracle; production tables use :func:`table_from_binned` on
+    :func:`binned_row_masses`.
     """
     cats = np.asarray(row_cats)
     if cats.shape[0] != W.weights.shape[0]:
@@ -171,32 +175,30 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
     symmetric construction for event subjects over observed censoring times
     and is transposed so its rows are censoring-time bins as well.  Returns
     ``(summed, censored_part, event_part_transposed)``.
+
+    Both addends come from :func:`binned_row_masses`, on the sample with any
+    promotion undone and on its status-flipped copy; each kept row lands in
+    the row of its own time bin.  This equals the cascade tables of
+    :func:`build_cross_weight_matrix` without the O(n_c * n) matrices.
     """
+    orig = dataset.original_delta()
+    if orig.sum() == 0 or orig.sum() == dataset.n:
+        raise ValueError("cross tables need both censored and uncensored records")
     k = time_scheme.nbins
     labels = tuple(range(1, k + 1))
+    own_bin, _ = categorize(dataset.y, time_scheme)
 
-    wc = build_cross_weight_matrix(dataset, "C-rows")
-    c_rows_bin, _ = categorize(wc.row_y, time_scheme)
-    c_part = table_from_weights(wc, c_rows_bin, time_scheme)
-    c_cells = _expand(c_part, labels, labels)
+    def own_bin_grid(delta: np.ndarray) -> np.ndarray:
+        """Masses of the rows censored under ``delta``, by their own bin."""
+        B, _ = binned_row_masses(Dataset(y=dataset.y, delta=delta), time_scheme)
+        keep = delta == 0
+        cells = np.zeros((k, k))
+        np.add.at(cells, own_bin[keep] - 1, B[keep])
+        return cells
 
-    wt = build_cross_weight_matrix(dataset, "T-rows")
-    t_rows_bin, _ = categorize(wt.row_y, time_scheme)
-    t_part = table_from_weights(wt, t_rows_bin, time_scheme)
-    t_cells = _expand(t_part, labels, labels).T  # rows become censoring bins
-
+    c_cells = own_bin_grid(orig)
+    t_cells = own_bin_grid(1 - orig).T  # rows become censoring bins
     c_tab = ContingencyTable(labels, labels, c_cells)
     t_tab = ContingencyTable(labels, labels, t_cells)
     summed = ContingencyTable(labels, labels, c_cells + t_cells)
     return summed, c_tab, t_tab
-
-
-def _expand(table: ContingencyTable, row_labels: tuple, col_labels: tuple) -> np.ndarray:
-    """Embed a table into the full label grid (missing categories -> 0)."""
-    out = np.zeros((len(row_labels), len(col_labels)))
-    ri = {lab: i for i, lab in enumerate(row_labels)}
-    ci = {lab: j for j, lab in enumerate(col_labels)}
-    for i, rl in enumerate(table.row_labels):
-        for j, cl in enumerate(table.col_labels):
-            out[ri[rl], ci[cl]] = table.cells[i, j]
-    return out

@@ -25,6 +25,18 @@ def _entropy_of_counts(v: np.ndarray) -> float:
     return float(math.log(total) - (pos * np.log(pos)).sum() / total)
 
 
+def _entropies_of_rows(counts: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a nonnegative count matrix; zero-mass rows
+    get 0."""
+    totals = counts.sum(axis=1)
+    safe = np.where(counts > 0, counts, 1.0)
+    clogc = (counts * np.log(safe)).sum(axis=1)
+    out = np.zeros(counts.shape[0])
+    pos = totals > 0
+    out[pos] = np.log(totals[pos]) - clogc[pos] / totals[pos]
+    return out
+
+
 def shannon(p: Sequence[float], *, atol: float = 1e-9) -> float:
     """Entropy of a probability vector, validating normalization."""
     p = np.asarray(p, dtype=float)
@@ -53,7 +65,7 @@ def conditional_entropy(table: ContingencyTable) -> tuple[float, np.ndarray]:
     if total <= 0:
         raise ValueError("all-zero table")
     row_masses = cells.sum(axis=1)
-    per_row = np.array([_entropy_of_counts(r) for r in cells])
+    per_row = _entropies_of_rows(cells)
     ce = float((row_masses / total) @ per_row)
     return ce, per_row
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Mapping, Sequence
@@ -37,7 +36,7 @@ from .entropy import (
     interacting_flag,
     mutual_information,
 )
-from .redistribution import WeightMatrix, binned_row_masses
+from .redistribution import binned_row_masses
 
 
 @dataclass(frozen=True)
@@ -169,49 +168,28 @@ class MFSReport:
         }
 
 
-def _response_masses(dataset: Dataset, time_scheme: BinningScheme,
-                     weights: WeightMatrix | None) -> np.ndarray:
-    """Per-subject response-bin masses aligned to dataset order."""
-    if weights is None:
-        B, _ = binned_row_masses(dataset, time_scheme)
-        return B
-    col_bin, _ = categorize(weights.col_times, time_scheme)
-    k = time_scheme.nbins
-    B = np.zeros((weights.weights.shape[0], k))
-    for b in range(1, k + 1):
-        sel = col_bin == b
-        if sel.any():
-            B[:, b - 1] = weights.weights[:, sel].sum(axis=1)
-    # weight rows are sorted by time; map back to dataset order via ids
-    pos = {rid: i for i, rid in enumerate(weights.row_ids)}
-    idx = np.array([pos[rid] for rid in dataset.ids])
-    return B[idx]
-
-
 def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             cats: CategorizedFeatures | None = None,
             max_order: int = 2,
-            weights: WeightMatrix | None = None,
             features: Sequence[str] | None = None,
             interaction_factor: float = 3.0,
             n_bins: int = 4,
             label: str = "",
-            size_guard: bool = True,
-            workers: int = 1) -> dict[int, MFSReport]:
+            size_guard: bool = True) -> dict[int, MFSReport]:
     """Evaluate all feature sets up to ``max_order`` and rank them.
 
     Orders above 3 are rejected: with composite categories multiplying per
     added feature, plug-in conditional entropies on realistic event counts
     lose meaning beyond triplets.  Records come back sorted ascending by
-    conditional entropy; the ordering is deterministic and independent of
-    ``workers``.
+    conditional entropy, ties broken by feature names, so the ordering is
+    deterministic.
     """
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be 1, 2 or 3")
     if cats is None:
         cats = categorize_features(dataset, n_bins=n_bins)
     names = list(features) if features is not None else list(cats.names)
-    B = _response_masses(dataset, time_scheme, weights)
+    B, _ = binned_row_masses(dataset, time_scheme)
     h_response = _entropy_of_counts(B.sum(axis=0))
     time_labels = tuple(range(1, time_scheme.nbins + 1))
 
@@ -235,11 +213,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     reports: dict[int, MFSReport] = {}
     for order in range(1, max_order + 1):
         sets = [tuple(c) for c in itertools.combinations(names, order)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(evaluate, sets))
-        else:
-            results = [evaluate(s) for s in sets]
+        results = [evaluate(s) for s in sets]
 
         if size_guard:
             worst = max((r[1].cells.shape[0] for r in results), default=0)
@@ -317,8 +291,7 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
                      anchor_set: Sequence[str] = (),
                      n_rep: int = 200,
                      n_bins: int = 4,
-                     seed: int = 0,
-                     weights: WeightMatrix | None = None) -> ReliabilityNull:
+                     seed: int = 0) -> ReliabilityNull:
     """Null CE distribution from ``n_rep`` synthetic uniform features.
 
     Each replicate draws a fresh Uniform[0, 1] feature, bins it like a real
@@ -337,7 +310,7 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
         anchor_codes = [cats.column(f) for f in anchor_set]
     else:
         anchor_codes = []
-    B = _response_masses(dataset, time_scheme, weights)
+    B, _ = binned_row_masses(dataset, time_scheme)
     streams = np.random.SeedSequence(seed).spawn(n_rep)
     out = np.empty(n_rep)
     for i in range(n_rep):
@@ -468,8 +441,7 @@ class CEExpansion:
 
 def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
                  cats: CategorizedFeatures, base: str,
-                 extensions: Sequence[str | Sequence[str]] = (),
-                 weights: WeightMatrix | None = None) -> CEExpansion:
+                 extensions: Sequence[str | Sequence[str]] = ()) -> CEExpansion:
     """Per-category rescaled conditional entropies for a base feature and
     its refinements, within one (sub-)collection.
 
@@ -478,7 +450,7 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
     by the response's marginal entropy in this collection, together with
     the row mass and the dominant response category.
     """
-    B = _response_masses(dataset, time_scheme, weights)
+    B, _ = binned_row_masses(dataset, time_scheme)
     h_resp = _entropy_of_counts(B.sum(axis=0))
     if h_resp <= 0:
         raise ValueError("response has zero entropy in this collection")

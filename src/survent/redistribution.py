@@ -6,13 +6,17 @@ and the sweep proceeds left to right so that mass parked on a later censored
 point is forwarded again.  After the sweep, all mass sits on event times, and
 the column totals reproduce the Kaplan-Meier jump sizes.
 
-Two access paths are provided:
+Two constructions are provided:
 
-* :func:`build_weight_matrix` materializes the dense subject-by-event-time
-  matrix via the literal cascade (fine up to a few thousand subjects);
-* :func:`iter_weight_rows` / :func:`binned_row_masses` stream rows through
-  the equivalent product-limit closed form, for large simulated samples
-  where the dense matrix would not fit comfortably in memory.
+* :func:`binned_row_masses` is the production kernel.  It uses the
+  product-limit closed form (Efron 1967): a censored row's weight on event
+  time ``t_j > y_i`` is the Kaplan-Meier jump at ``t_j`` divided by the
+  survival just after ``y_i``.  Every weighted table in the library is
+  built from it.
+* :func:`build_weight_matrix` and :func:`build_cross_weight_matrix`
+  materialize the dense subject-by-event-time matrix via the literal
+  cascade.  They are the paper's reference construction, kept for
+  exposition and as a test oracle; no production path calls them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -109,6 +112,9 @@ class WeightMatrix:
     event times (only event times index columns).  ``row_delta`` is the
     status used in the construction (after promotion), ``row_delta_original``
     the status as observed.
+
+    Output of the reference construction (:func:`build_weight_matrix`);
+    production code works on :func:`binned_row_masses` instead.
     """
 
     row_ids: tuple[str, ...]
@@ -151,7 +157,12 @@ class WeightMatrix:
 
 
 def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
-    """Dense weight matrix via the left-to-right redistribution cascade."""
+    """Dense weight matrix via the left-to-right redistribution cascade.
+
+    The paper's reference construction, O(n_c * n) memory: it serves
+    exposition and tests as the oracle for :func:`binned_row_masses`, and
+    no production path calls it.
+    """
     ds, order, ys, deltas = _prepared(dataset)
     n = ys.size
     cens_pos = np.flatnonzero(deltas == 0)
@@ -185,12 +196,14 @@ def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
     )
 
 
-def _km_arrays(dataset: Dataset):
-    """Shared pieces for the closed-form paths.
+def binned_row_masses(dataset: Dataset,
+                      scheme: BinningScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Per-subject redistributed mass per time bin, aligned to input order.
 
-    Returns (order, ys, deltas, surv_at_position, event positions, column
-    times, per-column jump sizes, cumulative jumps from each column to the
-    right).
+    Returns ``(B, col_times)`` with ``B`` of shape (n, nbins); row sums are
+    1.  A censored row's mass in a bin is the Kaplan-Meier jump mass of the
+    bin's event times right of ``y_i``, divided by the survival just after
+    ``y_i``; the subject-by-event-time matrix is never materialized.
     """
     _, order, ys, deltas = _prepared(dataset)
     n = ys.size
@@ -202,43 +215,8 @@ def _km_arrays(dataset: Dataset):
     unc_pos = np.flatnonzero(deltas == 1)
     col_times = ys[unc_pos]
     col_jumps = jumps_pos[unc_pos]
+    # cumulative jump mass from each column to the right
     tail = np.concatenate((np.cumsum(col_jumps[::-1])[::-1], [0.0]))
-    return order, ys, deltas, surv, unc_pos, col_times, col_jumps, tail
-
-
-def iter_weight_rows(dataset: Dataset) -> Iterator[tuple[str, int, np.ndarray]]:
-    """Stream (id, status, weight row) in ascending-time order.
-
-    Each censored row is produced from the product-limit closed form: the
-    weight on event time ``t_j > y_i`` equals the Kaplan-Meier jump at
-    ``t_j`` divided by the survival just after ``y_i``.  Equivalent to the
-    cascade rows without holding the full matrix.
-    """
-    ds = dataset.promote_largest_censored()
-    order, ys, deltas, surv, unc_pos, col_times, col_jumps, _ = _km_arrays(ds)
-    ids_sorted = [ds.ids[i] for i in order]
-    col_of_pos = np.cumsum(deltas) - 1
-    for p in range(ys.size):
-        row = np.zeros(col_times.size)
-        if deltas[p] == 1:
-            row[col_of_pos[p]] = 1.0
-        else:
-            start = int(np.searchsorted(col_times, ys[p], side="right"))
-            row[start:] = col_jumps[start:] / surv[p]
-        yield ids_sorted[p], int(deltas[p]), row
-
-
-def binned_row_masses(dataset: Dataset,
-                      scheme: BinningScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subject redistributed mass per time bin, aligned to input order.
-
-    Returns ``(B, col_times)`` with ``B`` of shape (n, nbins); row sums are
-    1.  This is the memory-light route to weighted contingency tables: it
-    never materializes the subject-by-event-time matrix.
-    """
-    ds = dataset.promote_largest_censored()
-    order, ys, deltas, surv, unc_pos, col_times, col_jumps, tail = _km_arrays(ds)
-    n = ys.size
     k = scheme.nbins
     col_bin0, _ = categorize(col_times, scheme)
     col_bin0 = col_bin0 - 1
@@ -257,9 +235,7 @@ def binned_row_masses(dataset: Dataset,
                 continue
             a = np.clip(first_right, lo, hi)
             B[cens, b] = (tail[a] - tail[hi])[cens] / denom[cens]
-    col_of_pos = np.cumsum(deltas) - 1
-    ev = np.flatnonzero(deltas == 1)
-    B[ev, col_bin0[col_of_pos[ev]]] = 1.0
+    B[unc_pos, col_bin0] = 1.0
 
     out = np.empty_like(B)
     out[order] = B
@@ -268,6 +244,10 @@ def binned_row_masses(dataset: Dataset,
 
 def build_cross_weight_matrix(dataset: Dataset, direction: str) -> WeightMatrix:
     """Cross weight matrices between censoring times and event times.
+
+    The cascade counterpart of :func:`contingency.censor_cross_table`,
+    which builds the same tables from :func:`binned_row_masses`; kept as
+    the reference construction and its test oracle.
 
     ``direction="C-rows"``: rows are the observed censoring times, columns
     the event times; these are exactly the censored rows of the full weight

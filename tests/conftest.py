@@ -36,6 +36,26 @@ def make_random_dataset(seed: int, n: int = 60, n_features: int = 3,
     return Dataset(y=np.minimum(T, C), delta=(T <= C).astype(int), X=X)
 
 
+def make_tied_dataset(seed: int, n: int, n_features: int = 3) -> Dataset:
+    """Random sample on a quarter-unit time grid.
+
+    Censored times tie with event times and with each other.  One censored
+    record is set to an event's time outright, so ties exist even at small
+    n.  The largest time is shared by one event and two censored records,
+    so the trailing-censored promotion runs as a chain.
+    """
+    ds = make_random_dataset(seed, n=n, n_features=n_features)
+    y = np.round(ds.y * 4) / 4
+    delta = np.array(ds.delta)
+    top = np.argsort(y, kind="stable")[-3:]
+    y[top] = y.max() + 0.25
+    delta[top] = (1, 0, 0)
+    rest = np.setdiff1d(np.arange(n), top)
+    delta[rest[:2]] = (1, 0)
+    y[rest[1]] = y[rest[0]]
+    return Dataset(y=y, delta=delta, X=ds.X)
+
+
 @pytest.fixture
 def random_dataset() -> Dataset:
     return make_random_dataset(0)

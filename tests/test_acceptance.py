@@ -135,7 +135,7 @@ def _censor_golden_check(cells: np.ndarray) -> list[str]:
     reason="the quoted cell values cannot reproduce the quoted summary "
     "statistics: two cells are mistyped in the source table (its total is "
     "920 instead of the sample size 903); see the companion test and "
-    "notes/decisions.md",
+    "the README section \"Known irreproducibilities\"",
 )
 def test_criterion_2_censor_golden_printed_values():
     problems = _censor_golden_check(PRINTED_UPPER + PRINTED_LOWER)
@@ -222,7 +222,8 @@ _3C_REASON = (
     "observed-range uniform binning has a per-seed sd of about 0.1 (the top "
     "edge follows the heavy-tailed sample maximum), so no 20-seed mean can "
     "be pinned within 0.03 of the quoted single-run values; rankings and "
-    "margins (3a/3b/3d) are binning-robust and pass; see notes/decisions.md"
+    "margins (3a/3b/3d) are binning-robust and pass; see the README section "
+    "\"Known irreproducibilities\""
 )
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from survent import fit
 from survent.cli import main
 
 
@@ -75,6 +77,22 @@ def test_analyze_end_to_end(sim_files, tmp_path):
     header, *rows = (outdir / "mfs_order1.csv").read_text().splitlines()
     assert "reliability_p" in header
     assert not any(row.endswith(",") for row in rows)
+
+
+def test_analyze_warns_when_cox_does_not_converge(sim_files, tmp_path,
+                                                  monkeypatch, capsys):
+    def stalled_fit(*args, **kwargs):
+        return dataclasses.replace(fit(*args, **kwargs), converged=False,
+                                   message="step-halving failed")
+
+    monkeypatch.setattr("survent.cli.cox_fit", stalled_fit)
+    data, config = sim_files
+    outdir = tmp_path / "stalled"
+    rc = main(["analyze", "--input", str(data), "--config", str(config),
+               "--outdir", str(outdir), "--max-order", "1", "--n-sim", "50"])
+    assert rc == 0
+    assert "warning: step-halving failed" in capsys.readouterr().err
+    assert json.loads((outdir / "cox.json").read_text())["converged"] is False
 
 
 def test_analyze_missing_config_exits_2(sim_files, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from survent import (
     ContingencyTable,
     Dataset,
+    build_cross_weight_matrix,
     build_weight_matrix,
     categorize,
     censor_cross_table,
@@ -22,7 +23,7 @@ from survent import (
     table_plain,
 )
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, make_tied_dataset
 
 
 def test_table_plain_all_ones():
@@ -159,6 +160,33 @@ def test_censor_cross_structural_zeros(seed):
             if j > i:
                 assert lower[i, j] == 0.0  # censoring mass only at bins <= C's
     np.testing.assert_allclose(summed.cells, upper + lower, atol=1e-12)
+
+
+def cascade_cross_tables(ds, scheme):
+    """Censored and transposed event parts from the dense cascade, embedded
+    into the full k x k grid."""
+    k = scheme.nbins
+    parts = []
+    for direction in ("C-rows", "T-rows"):
+        W = build_cross_weight_matrix(ds, direction)
+        rows, _ = categorize(W.row_y, scheme)
+        part = table_from_weights(W, rows, scheme)
+        cells = np.zeros((k, k))
+        cells[np.asarray(part.row_labels) - 1] = part.cells
+        parts.append(cells)
+    return parts[0], parts[1].T
+
+
+@pytest.mark.parametrize("n", [10, 200, 1500])
+@pytest.mark.parametrize("tied", [False, True])
+def test_censor_cross_matches_cascade(n, tied):
+    ds = make_tied_dataset(n, n) if tied else make_random_dataset(n, n=n)
+    scheme = equal_width_bins(ds.y, 5)
+    summed, c_part, t_part = censor_cross_table(ds, scheme)
+    c_ref, t_ref = cascade_cross_tables(ds, scheme)
+    np.testing.assert_allclose(c_part.cells, c_ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(t_part.cells, t_ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(summed.cells, c_ref + t_ref, rtol=0, atol=1e-9)
 
 
 def test_censor_cross_mass_accounting():

@@ -157,6 +157,9 @@ def random_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_entropy_bounds_property(t):
     ce, per_row = conditional_entropy(t)
+    for row, h in zip(t.cells, per_row):
+        want = shannon(row / row.sum()) if row.sum() > 0 else 0.0
+        assert h == pytest.approx(want, abs=1e-12)
     h_row, h_col = marginal_entropies(t)
     assert -1e-12 <= ce <= h_col + 1e-12
     assert h_col <= math.log(len(t.col_labels)) + 1e-12

@@ -10,7 +10,6 @@ import pytest
 from survent import (
     Dataset,
     assign_code_ids,
-    build_weight_matrix,
     categorize_features,
     ce_expansion,
     equal_width_bins,
@@ -89,27 +88,6 @@ def test_run_mfs_column_permutation_invariant(planted):
             assert set(ra.features) == set(rb.features)
             assert ra.ce == pytest.approx(rb.ce, abs=1e-12)
             assert ra.sce_drop == pytest.approx(rb.sce_drop, abs=1e-12)
-
-
-def test_run_mfs_workers_deterministic(planted):
-    ds, scheme = planted
-    a = run_mfs(ds, scheme, max_order=2, workers=1)
-    b = run_mfs(ds, scheme, max_order=2, workers=4)
-    for order in (1, 2):
-        assert [r.features for r in a[order].records] == \
-            [r.features for r in b[order].records]
-        np.testing.assert_allclose([r.ce for r in a[order].records],
-                                   [r.ce for r in b[order].records],
-                                   atol=1e-15)
-
-
-def test_run_mfs_dense_weights_path_agrees(planted):
-    ds, scheme = planted
-    W = build_weight_matrix(ds)
-    a = run_mfs(ds, scheme, max_order=1)
-    b = run_mfs(ds, scheme, max_order=1, weights=W)
-    for ra, rb in zip(a[1].records, b[1].records):
-        assert ra.ce == pytest.approx(rb.ce, abs=1e-12)
 
 
 def test_pair_sce_plus_best_equals_joint(planted):

@@ -12,12 +12,13 @@ from survent import (
     binned_row_masses,
     build_cross_weight_matrix,
     build_weight_matrix,
+    categorize,
+    censor_cross_table,
     equal_width_bins,
-    iter_weight_rows,
     km_estimate,
 )
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, make_tied_dataset
 
 
 def rational_cascade(delta: list[int]) -> list[list[Fraction]]:
@@ -155,23 +156,18 @@ def test_tied_max_censored_mass_not_stranded():
     np.testing.assert_allclose(W.weights.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_streaming_rows_match_dense(golden10):
-    W = build_weight_matrix(golden10)
-    for i, (rid, delta, row) in enumerate(iter_weight_rows(golden10)):
-        assert rid == W.row_ids[i]
-        assert delta == W.row_delta[i]
-        np.testing.assert_allclose(row, W.weights[i], atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_binned_masses_match_dense(seed):
-    ds = make_random_dataset(seed, n=90)
+@pytest.mark.parametrize("seed, n, tied", [
+    *(pytest.param(s, 90, False, id=str(s)) for s in range(3)),
+    pytest.param(3, 90, True, id="tied-90"),
+    pytest.param(4, 1500, False, id="1500"),
+    pytest.param(5, 1500, True, id="tied-1500"),
+])
+def test_binned_masses_match_dense(seed, n, tied):
+    ds = make_tied_dataset(seed, n) if tied else make_random_dataset(seed, n=n)
     Wd = build_weight_matrix(ds)
     scheme = equal_width_bins(Wd.col_times, 5)
     B, _ = binned_row_masses(ds, scheme)
     # reduce the dense matrix with the same binning, in dataset order
-    from survent import categorize
-
     col_bin, _ = categorize(Wd.col_times, scheme)
     dense = np.zeros((ds.n, 5))
     for b in range(1, 6):
@@ -222,9 +218,13 @@ def test_cross_t_rows_random_vs_oracle(seed):
 
 
 def test_cross_requires_both_kinds():
-    ds = Dataset(y=[1.0, 2.0], delta=[1, 1])
-    with pytest.raises(ValueError):
-        build_cross_weight_matrix(ds, "C-rows")
+    scheme = equal_width_bins([0.0, 3.0], 2)
+    for delta in ([1, 1], [0, 0]):
+        ds = Dataset(y=[1.0, 2.0], delta=delta)
+        with pytest.raises(ValueError):
+            build_cross_weight_matrix(ds, "C-rows")
+        with pytest.raises(ValueError):
+            censor_cross_table(ds, scheme)
 
 
 def test_empty_dataset_errors():
