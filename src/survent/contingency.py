@@ -5,6 +5,10 @@ Cells are real-valued, not integer, because redistribution spreads a
 censored subject's unit mass fractionally over event-time columns.  Only
 observed (composite) categories get rows; empty categories would carry zero
 mass and contribute nothing to conditional entropy anyway.
+
+One table kernel serves every table: :func:`_compact` maps integer codes to
+0-based indices over their observed values without sorting, and the cells
+are one ``bincount`` over the resulting row-major cell index.
 """
 
 from __future__ import annotations
@@ -75,13 +79,48 @@ def _label_str(label: Hashable) -> str:
     return str(label)
 
 
+def _compact(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Observed values of integral codes, ascending, and each code's 0-based
+    index among them: what ``np.unique(codes, return_inverse=True)`` gives.
+
+    Counts over the code span and ranks the non-empty cells by a cumulative
+    sum, which is O(n + span) with no sort.  Sparse codes, whose span exceeds
+    their count, go through ``np.unique`` instead so memory stays O(n); both
+    branches return identical arrays.  Raises ``ValueError`` for codes that
+    are not integral.
+    """
+    raw = np.asarray(codes)
+    if raw.ndim != 1:
+        raise ValueError("category codes must be a 1-D vector")
+    with np.errstate(invalid="ignore"):
+        c = raw.astype(np.int64, copy=False)
+    if raw.dtype.kind not in "ib" and not np.array_equal(c, raw):
+        raise ValueError("category codes must be integral and fit in int64")
+    if c.size == 0:
+        return c, c
+    lo = int(c.min())
+    span = int(c.max()) - lo + 1
+    if span > c.size:
+        return np.unique(c, return_inverse=True)
+    shifted = c - lo
+    present = np.bincount(shifted, minlength=span) > 0
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present) + lo, rank[shifted]
+
+
 def fuse_categories(cat_vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
     """Fuse parallel ordinal vectors into one composite categorical variable.
 
     Each distinct tuple of codes becomes one composite category; only
-    observed tuples are materialized and labels are ordered
-    lexicographically.  Returns 1-based composite codes plus the tuple label
-    for each composite level.
+    observed tuples are materialized.  Returns 1-based composite codes plus
+    the tuple label for each composite level.  Codes must be integral
+    (``ValueError`` otherwise).
+
+    Vectors are fused left to right as mixed-radix codes: the composite so far
+    times the next vector's observed level count, plus its level index,
+    compacted after each step so the code never exceeds n squared.  Ascending
+    mixed-radix order is the lexicographic order of the label tuples, so
+    levels and codes match ``np.unique(np.stack(cat_vectors, 1), axis=0)``.
     """
     if len(cat_vectors) == 0:
         raise ValueError("need at least one category vector")
@@ -89,10 +128,14 @@ def fuse_categories(cat_vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, list
     n = arrs[0].shape[0]
     if any(a.shape != (n,) for a in arrs):
         raise ValueError("category vectors must have equal lengths")
-    stacked = np.stack(arrs, axis=1)
-    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    labels = [tuple(int(x) for x in row) for row in uniq]
-    return inverse.astype(np.int64) + 1, labels
+    values, composite = _compact(arrs[0])
+    levels = values[:, None]
+    for v in arrs[1:]:
+        values, index = _compact(v)
+        observed, composite = _compact(composite * values.size + index)
+        levels = np.column_stack([levels[observed // values.size],
+                                  values[observed % values.size]])
+    return composite + 1, [tuple(row) for row in levels.tolist()]
 
 
 def table_plain(x_cats: np.ndarray, y_cats: np.ndarray,
@@ -103,17 +146,16 @@ def table_plain(x_cats: np.ndarray, y_cats: np.ndarray,
     y = np.asarray(y_cats)
     if x.shape != y.shape:
         raise ValueError("category vectors must have equal lengths")
-    ux, xinv = np.unique(x, return_inverse=True)
-    uy, yinv = np.unique(y, return_inverse=True)
-    cells = np.zeros((ux.size, uy.size))
-    np.add.at(cells, (xinv, yinv), 1.0)
-    rl = tuple(x_labels) if x_labels is not None else tuple(int(v) for v in ux)
-    cl = tuple(y_labels) if y_labels is not None else tuple(int(v) for v in uy)
+    ux, xi = _compact(x)
+    uy, yi = _compact(y)
+    cells = np.bincount(xi * uy.size + yi, minlength=ux.size * uy.size)
+    rl = tuple(x_labels) if x_labels is not None else tuple(ux.tolist())
+    cl = tuple(y_labels) if y_labels is not None else tuple(uy.tolist())
     if x_labels is not None and len(rl) != ux.size:
         raise ValueError("x_labels must cover exactly the observed categories")
     if y_labels is not None and len(cl) != uy.size:
         raise ValueError("y_labels must cover exactly the observed categories")
-    return ContingencyTable(rl, cl, cells)
+    return ContingencyTable(rl, cl, cells.reshape(ux.size, uy.size))
 
 
 def table_from_binned(binned: np.ndarray, row_cats: np.ndarray,
@@ -128,12 +170,12 @@ def table_from_binned(binned: np.ndarray, row_cats: np.ndarray,
     cats = np.asarray(row_cats)
     if cats.shape[0] != B.shape[0]:
         raise ValueError("row_cats must align with binned rows")
-    uniq, inv = np.unique(cats, return_inverse=True)
+    uniq, inv = _compact(cats)
     k = B.shape[1]
     flat = inv[:, None] * k + np.arange(k)[None, :]
     cells = np.bincount(flat.ravel(), weights=B.ravel(),
                         minlength=uniq.size * k).reshape(uniq.size, k)
-    rl = tuple(row_labels) if row_labels is not None else tuple(int(v) for v in uniq)
+    rl = tuple(row_labels) if row_labels is not None else tuple(uniq.tolist())
     cl = tuple(col_labels) if col_labels is not None else tuple(range(1, k + 1))
     return ContingencyTable(rl, cl, cells)
 

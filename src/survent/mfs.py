@@ -460,12 +460,7 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
     )
 
     def add_series(series_feats: tuple[str, ...]) -> None:
-        if len(series_feats) == 1:
-            codes = cats.column(series_feats[0])
-            labels = [(int(v),) for v in np.unique(codes)]
-        else:
-            codes, labels = fuse_categories(
-                [cats.column(f) for f in series_feats])
+        codes, labels = fuse_categories([cats.column(f) for f in series_feats])
         table = table_from_binned(B, codes, row_labels=labels)
         _, per_row = conditional_entropy(table)
         masses = table.row_sums()

@@ -44,21 +44,83 @@ def test_fuse_pointwise():
     assert codes.tolist() == [1, 2]
 
 
-def test_fuse_materializes_only_observed():
+def sort_table_from_binned(B, codes):
+    """table_from_binned's cells built on a sorting np.unique, as oracle."""
+    uniq, inv = np.unique(codes, return_inverse=True)
+    k = B.shape[1]
+    flat = inv[:, None] * k + np.arange(k)[None, :]
+    return np.bincount(flat.ravel(), weights=B.ravel(),
+                       minlength=uniq.size * k).reshape(uniq.size, k)
+
+
+# (n, vectors, pool of codes each vector draws from, first vector's span > n)
+FUSE_CASES = {
+    "n1": (1, 3, np.arange(-3, 4), False),
+    "n10-dense": (10, 2, np.arange(-3, 5, 2), False),
+    "n10-sparse": (10, 3, np.arange(-1000, 1000, 7), True),
+    "n1e4-dense": (10_000, 3, np.arange(-6, 20, 3), False),
+    "n1e4-sparse": (10_000, 2, np.arange(-10**6, 10**6, 13), True),
+    "radix-past-2^63": (10, 3, np.array([-2**62, -1, 5, 2**62 - 1]), True),
+}
+
+
+@pytest.mark.parametrize("case", list(FUSE_CASES))
+def test_fuse_materializes_only_observed(case):
+    n, p, pool, sparse = FUSE_CASES[case]
     rng = np.random.default_rng(3)
-    vecs = [rng.integers(1, 5, 50) for _ in range(3)]
+    vecs = [rng.choice(rng.choice(pool, 4, replace=False), n) for _ in range(p)]
+    assert (int(vecs[0].max()) - int(vecs[0].min()) + 1 > n) == sparse
     codes, labels = fuse_categories(vecs)
-    assert len(labels) <= 4**3
+    assert len(labels) <= 4**p
     assert len(labels) == len(set(labels))
     assert sorted(labels) == labels  # lexicographic
 
+    # the sorting np.unique over stacked rows is the oracle
+    uniq, inverse = np.unique(np.stack(vecs, 1), axis=0, return_inverse=True)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, inverse.ravel() + 1)
+    assert labels == [tuple(int(x) for x in row) for row in uniq]
+    assert all(type(x) is int for lab in labels for x in lab)
+
+    B = rng.uniform(0, 1, (n, 4))
+    for row_codes in (vecs[0], codes):
+        table = table_from_binned(B, row_codes)
+        assert np.array_equal(table.cells, sort_table_from_binned(B, row_codes))
+        assert table.row_labels == tuple(int(v) for v in np.unique(row_codes))
+    ux, xi = np.unique(vecs[0], return_inverse=True)
+    uy, yi = np.unique(vecs[-1], return_inverse=True)
+    plain_ref = np.zeros((ux.size, uy.size))
+    np.add.at(plain_ref, (xi, yi), 1.0)
+    t1 = table_plain(vecs[0], vecs[-1])
+    assert np.array_equal(t1.cells, plain_ref)
+    assert t1.row_labels == tuple(int(v) for v in ux)
+    assert t1.col_labels == tuple(int(v) for v in uy)
+
     # fusing a vector with itself is a bijective relabeling: entropy equal
-    t1 = table_plain(vecs[0], vecs[1])
     fused, _ = fuse_categories([vecs[0], vecs[0]])
-    t2 = table_plain(fused, vecs[1])
+    t2 = table_plain(fused, vecs[-1])
     ce1, _ = conditional_entropy(t1)
     ce2, _ = conditional_entropy(t2)
     assert ce1 == pytest.approx(ce2, abs=1e-12)
+
+
+def test_codes_must_be_integral():
+    for bad in (np.array([1.5, 2.5]), np.array([1.0, np.nan]),
+                np.array([1.0, 2.0**63])):
+        with pytest.raises(ValueError, match="integral"):
+            fuse_categories([bad])
+        with pytest.raises(ValueError, match="integral"):
+            table_plain(bad, np.array([1, 2]))
+        with pytest.raises(ValueError, match="integral"):
+            table_from_binned(np.ones((2, 3)), bad)
+    codes, labels = fuse_categories([np.array([2.0, 1.0]), np.array([1, 1])])
+    assert codes.tolist() == [2, 1]
+    assert labels == [(1, 1), (2, 1)]
+    assert all(type(x) is int for lab in labels for x in lab)
+    # n = 0 stays valid: empty codes, no levels
+    codes, labels = fuse_categories([np.array([], dtype=int), np.array([])])
+    assert codes.shape == (0,) and labels == []
+    assert table_plain(np.array([]), np.array([])).cells.shape == (0, 0)
 
 
 def test_fuse_mismatched_lengths():
