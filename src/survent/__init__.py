@@ -36,7 +36,6 @@ from .data import (
     Dataset,
     MissingValueError,
     ParseError,
-    SurvivalRecord,
     ingest_csv,
 )
 from .entropy import (
@@ -106,7 +105,6 @@ __all__ = [
     "ReliabilityNull",
     "SimConfig",
     "StepFunction",
-    "SurvivalRecord",
     "WeightMatrix",
     "assign_code_ids",
     "binned_row_masses",

@@ -102,19 +102,18 @@ class CensorTestResult:
         written = []
 
         def dump_samples(axis: AxisTest, stem: str) -> None:
-            import csv
-
+            # the bytes csv.writer would emit: no field needs quoting
             path = outdir / f"{stem}_samples.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["index", "kind", "value"])
+                fh.write("index,kind,value\r\n")
                 for i, (nu, al) in enumerate(zip(axis.null_samples,
                                                  axis.alt_samples)):
                     for kind, sample in (("null", nu), ("alt", al)):
                         if sample is None:
                             continue
-                        for v in sample:
-                            writer.writerow([i + 1, kind, repr(float(v))])
+                        lead = f"{i + 1},{kind},"
+                        fh.write(lead + ("\r\n" + lead).join(
+                            map(repr, sample.tolist())) + "\r\n")
             written.append(path)
 
         self.table.to_csv(outdir / "summed_table.csv")

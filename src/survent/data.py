@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,16 +38,6 @@ class MissingValueError(ValueError):
         more = "" if len(rows) <= 20 else f" (+{len(rows) - 20} more)"
         super().__init__(f"missing values in data rows: {preview}{more}")
         self.rows = list(rows)
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: identifier, observed time, status, covariates."""
-
-    id: str
-    y: float
-    delta: int
-    covariates: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -197,14 +187,6 @@ class Dataset:
     @property
     def n_c(self) -> int:
         return self.n - self.n_u
-
-    @property
-    def records(self) -> list[SurvivalRecord]:
-        return [
-            SurvivalRecord(self.ids[i], float(self.y[i]), int(self.delta[i]),
-                           tuple(self.X[i]))
-            for i in range(self.n)
-        ]
 
     def feature(self, name: str) -> np.ndarray:
         try:
@@ -378,16 +360,4 @@ def ingest_csv(path: str | Path, config: ColumnConfig | Mapping | str | Path) ->
         ids=ids,
         feature_kinds=kinds,
         meta={"source": str(path)},
-    )
-
-
-def dataset_from_records(records: Iterable[SurvivalRecord],
-                         feature_names: Sequence[str]) -> Dataset:
-    recs = list(records)
-    return Dataset(
-        y=[r.y for r in recs],
-        delta=[r.delta for r in recs],
-        X=[list(r.covariates) for r in recs],
-        feature_names=feature_names,
-        ids=[r.id for r in recs],
     )

@@ -26,9 +26,16 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .binning import BinningScheme, DegenerateRangeError, categorize, equal_width_bins
-from .contingency import ContingencyTable, fuse_categories, table_from_binned, table_plain
+from .contingency import (
+    ContingencyTable,
+    _compact,
+    fuse_categories,
+    table_from_binned,
+    table_plain,
+)
 from .data import Dataset
 from .entropy import (
+    _entropies_of_rows,
     _entropy_of_counts,
     conditional_entropy,
     conditional_mutual_information,
@@ -271,6 +278,10 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     return reports
 
 
+# draws held at once by reliability_null: bounds its memory, not its results
+_NULL_BLOCK_ELEMENTS = 2 ** 15
+
+
 @dataclass
 class ReliabilityNull:
     """Empirical null of conditional entropies from synthetic noise features."""
@@ -295,32 +306,68 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     """Null CE distribution from ``n_rep`` synthetic uniform features.
 
     Each replicate draws a fresh Uniform[0, 1] feature, bins it like a real
-    covariate (``n_bins`` equal-width bins), optionally fuses it with the
-    anchor features, and evaluates the conditional entropy on the same
-    weight structure as the observed analysis.  Replicate ``i`` owns the RNG
-    substream spawned at index ``i``, so results do not depend on execution
-    order.
+    covariate (``n_bins`` equal-width bins over its own range), optionally
+    fuses it with the anchor features, and evaluates the conditional entropy
+    on the same weight structure as the observed analysis.  Replicate ``i``
+    owns the RNG substream spawned at index ``i``, so results do not depend
+    on execution order.
+
+    Replicates run in blocks of ``max(1, 2**15 // n)``, so a block's draws
+    fill at most 2**15 elements (one replicate when n is larger).  Within a
+    block every (replicate, noise bin, anchor level) triple is one integer
+    code; one compaction and one ``bincount`` per time bin build all the
+    block's tables at once, and each replicate's CE is the mass-weighted
+    mean of its rows' entropies.  The edges and codes are those of
+    :func:`equal_width_bins` and :func:`categorize` on each replicate alone.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
+    if n_bins < 2:
+        raise ValueError("n_bins must be at least 2")
     anchor_set = tuple(anchor_set)
+    n = dataset.n
     if anchor_set:
         if cats is None:
             cats = categorize_features(dataset, n_bins=n_bins)
-        anchor_codes = [cats.column(f) for f in anchor_set]
+        anchor, levels = fuse_categories([cats.column(f) for f in anchor_set])
+        anchor = anchor - 1
+        n_anchor = len(levels)
     else:
-        anchor_codes = []
+        anchor = np.zeros(n, dtype=np.int64)
+        n_anchor = 1
     B, _ = binned_row_masses(dataset, time_scheme)
     streams = np.random.SeedSequence(seed).spawn(n_rep)
+    block = min(n_rep, max(1, _NULL_BLOCK_ELEMENTS // n))
+    noise = np.empty((block, n))
+    masses = np.tile(B.T, (1, block))  # row t: B[:, t] once per replicate
     out = np.empty(n_rep)
-    for i in range(n_rep):
-        rng = np.random.default_rng(streams[i])
-        noise = rng.uniform(0.0, 1.0, dataset.n)
-        codes, _ = categorize(noise, equal_width_bins(noise, n_bins))
-        if anchor_codes:
-            codes, _ = fuse_categories([codes, *anchor_codes])
-        table = table_from_binned(B, codes)
-        out[i], _ = conditional_entropy(table)
+    for first in range(0, n_rep, block):
+        r = min(block, n_rep - first)
+        x = noise[:r]
+        for j in range(r):
+            x[j] = np.random.default_rng(streams[first + j]).uniform(0.0, 1.0, n)
+        lo, hi = x.min(axis=1), x.max(axis=1)
+        if not np.all(lo < hi):
+            raise DegenerateRangeError("all values equal; bin width would be zero")
+        edges = np.linspace(lo, hi, n_bins + 1, axis=1)
+        if not np.all(np.diff(edges, axis=1) > 0):
+            raise ValueError("edges must be strictly increasing")
+        # categorize(): the count of edges <= value, clipped to 1..n_bins
+        codes = np.zeros((r, n), dtype=np.int64)
+        for e in edges.T:
+            codes += e[:, None] <= x
+        np.clip(codes, 1, n_bins, out=codes)
+        codes += np.arange(r)[:, None] * n_bins - 1
+        cell_codes, index = _compact((codes * n_anchor + anchor).ravel())
+        cells = np.stack([np.bincount(index, weights=m[:r * n],
+                                      minlength=cell_codes.size)
+                          for m in masses], axis=1)
+        mass = cells.sum(axis=1)
+        rep = cell_codes // (n_bins * n_anchor)
+        out[first:first + r] = (
+            np.bincount(rep, weights=mass * _entropies_of_rows(cells),
+                        minlength=r)
+            / np.bincount(rep, weights=mass, minlength=r))
     return ReliabilityNull(out, n_rep=n_rep, n_bins=n_bins, anchor=anchor_set)
 
 

@@ -149,3 +149,28 @@ def test_write_outputs(tmp_path):
     names = {p.name for p in written}
     assert {"summed_table.csv", "censored_part.csv", "event_part.csv",
             "censor_test.json"} <= names
+
+
+def test_sample_csvs_match_csv_writer(tmp_path):
+    import csv
+
+    cells = np.array([[5.0, 3.0, 1.0], [0.0, 0.0, 0.0], [2.0, 4.0, 0.5]])
+    t = ContingencyTable((1, 2, 3), (1, 2, 3), cells)
+    res = run_censor_test(table=t, n_sim=40, seed=3)
+    assert res.rows.skipped == [1]
+    written = res.write(tmp_path / "ct")
+    for stem, axis in (("row", res.rows), ("col", res.cols)):
+        expected = tmp_path / f"{stem}_expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "kind", "value"])
+            for i, (nu, al) in enumerate(zip(axis.null_samples,
+                                             axis.alt_samples)):
+                for kind, sample in (("null", nu), ("alt", al)):
+                    if sample is None:
+                        continue
+                    for v in sample:
+                        writer.writerow([i + 1, kind, repr(float(v))])
+        path = tmp_path / "ct" / f"{stem}_samples.csv"
+        assert path in written
+        assert path.read_bytes() == expected.read_bytes()

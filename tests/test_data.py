@@ -136,9 +136,3 @@ def test_promotion_cascades_through_tied_censored_block():
     assert promoted.delta.tolist() == [1, 1, 1]
     assert set(promoted.meta["promoted_index"]) == {1, 2}
     assert promoted.original_delta().tolist() == [1, 0, 0]
-
-
-def test_records_view():
-    ds = Dataset(y=[1.0], delta=[1], X=[[0.5, 0.7]], ids=["z"])
-    rec = ds.records[0]
-    assert rec.id == "z" and rec.y == 1.0 and rec.covariates == (0.5, 0.7)

@@ -9,15 +9,21 @@ import pytest
 
 from survent import (
     Dataset,
+    DegenerateRangeError,
     assign_code_ids,
+    categorize,
     categorize_features,
     ce_expansion,
+    conditional_entropy,
     equal_width_bins,
+    fuse_categories,
     mce_matrix,
     reliability_null,
     run_mfs,
     subdivide,
+    table_from_binned,
 )
+from survent.redistribution import binned_row_masses
 
 from conftest import make_random_dataset
 
@@ -172,16 +178,87 @@ def test_reliability_null_with_anchor(planted):
     assert np.all(null.ces <= ce_v1 + 1e-12)
 
 
-def test_reliability_null_tiny_degenerate_subcollection():
+def tiny_degenerate_subcollection(n_features: int = 2):
+    """17 records with a single event, and a time scheme it barely fills."""
     rng = np.random.default_rng(0)
     n = 17
     delta = np.zeros(n, dtype=int)
     delta[3] = 1
     ds = Dataset(y=rng.uniform(1, 5, n), delta=delta,
-                 X=rng.uniform(0, 1, (n, 2)))
-    scheme = equal_width_bins(np.array([1.0, 5.0]), 4)
+                 X=rng.uniform(0, 1, (n, n_features)))
+    return ds, equal_width_bins(np.array([1.0, 5.0]), 4)
+
+
+def test_reliability_null_tiny_degenerate_subcollection():
+    ds, scheme = tiny_degenerate_subcollection()
     null = reliability_null(ds, scheme, n_rep=200, seed=0)
     assert np.all(np.isfinite(null.ces))
+
+
+def null_per_replicate(ds, scheme, cats, anchor_set, n_rep, n_bins, seed):
+    """The null built one table per replicate: the reference construction."""
+    B, _ = binned_row_masses(ds, scheme)
+    anchor_codes = [cats.column(f) for f in anchor_set]
+    out = []
+    for stream in np.random.SeedSequence(seed).spawn(n_rep):
+        noise = np.random.default_rng(stream).uniform(0.0, 1.0, ds.n)
+        codes, _ = categorize(noise, equal_width_bins(noise, n_bins))
+        if anchor_codes:
+            codes, _ = fuse_categories([codes, *anchor_codes])
+        ce, _ = conditional_entropy(table_from_binned(B, codes))
+        out.append(ce)
+    return np.array(out)
+
+
+def null_case(n: int):
+    if n == 17:
+        return tiny_degenerate_subcollection(n_features=3)
+    ds = make_random_dataset(n, n=n, n_features=3)
+    return ds, equal_width_bins(ds.y[ds.delta == 1], 4)
+
+
+@pytest.mark.parametrize("n_rep", [1, 7, 200])
+@pytest.mark.parametrize("anchor_set", [(), ("V2",), ("V1", "V2", "V3")],
+                         ids=["no-anchor", "anchor1", "anchor3"])
+@pytest.mark.parametrize("n_bins", [4, 10])
+@pytest.mark.parametrize("n", [17, 300, 3000])
+def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor_set,
+                                                       n_rep):
+    ds, scheme = null_case(n)
+    cats = categorize_features(ds, n_bins=n_bins)
+    null = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
+                            n_rep=n_rep, n_bins=n_bins, seed=n_rep)
+    expected = null_per_replicate(ds, scheme, cats, anchor_set, n_rep,
+                                  n_bins, seed=n_rep)
+    assert null.ces.shape == (n_rep,)
+    np.testing.assert_allclose(null.ces, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(300, 150), (3000, 15)])
+def test_reliability_null_prefix_is_independent_of_blocks(n, k):
+    # k replicates split into blocks differently than 200 do, and k spans
+    # more than one block of 2**15 // n replicates
+    assert k > 2 ** 15 // n
+    ds, scheme = null_case(n)
+    cats = categorize_features(ds, n_bins=4)
+    for anchor_set in [(), ("V1", "V3")]:
+        full = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
+                                n_rep=200, seed=4)
+        head = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
+                                n_rep=k, seed=4)
+        assert np.array_equal(head.ces, full.ces[:k])
+
+
+def test_reliability_null_error_paths():
+    one = Dataset(y=[1.0], delta=[1], X=[[0.5]])
+    scheme = equal_width_bins([0.0, 2.0], 4)
+    with pytest.raises(DegenerateRangeError):
+        reliability_null(one, scheme, n_rep=5)
+    ds, scheme = null_case(300)
+    with pytest.raises(ValueError, match="n_rep"):
+        reliability_null(ds, scheme, n_rep=0)
+    with pytest.raises(ValueError, match="n_bins"):
+        reliability_null(ds, scheme, n_rep=5, n_bins=1)
 
 
 def test_subdivide_partition_laws(planted):
