@@ -64,33 +64,15 @@ def exhaustion_exponent(V: np.ndarray) -> np.ndarray:
     return c1 + np.sin(2.0 * np.pi * (c2 + c3)) + c7**2
 
 
-def invert_reserve(u: np.ndarray, eta: np.ndarray, k_shape: float,
-                   method: str = "closed") -> np.ndarray:
+def invert_reserve(u: np.ndarray, eta: np.ndarray,
+                   k_shape: float) -> np.ndarray:
     """Event time solving  u = exp(eta) * integral_0^T k t^(k-1) dt.
 
-    ``closed`` uses the analytic inverse (the exponent is time-fixed).
-    ``quadrature`` solves the same equation numerically via a cumulative
-    trapezoid of the baseline hazard; it exists as the hook for future
-    time-varying exponents and is only checked against the closed form.
+    The exponent is time-fixed, so the inverse is analytic.
     """
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if method == "closed":
-        return (u * np.exp(-eta)) ** (1.0 / k_shape)
-    if method != "quadrature":
-        raise ValueError("method must be 'closed' or 'quadrature'")
-    target = u * np.exp(-eta)  # integral of the baseline alone must reach this
-    t_hi = float(np.max(target) ** (1.0 / k_shape)) * 1.05 + 1e-9
-    # quadratically stretched grid: resolves the power-law curvature at 0
-    x = np.linspace(0.0, 1.0, 40_001)
-    grid = t_hi * x**2
-    lam = k_shape * grid[1:] ** (k_shape - 1.0)
-    dgrid = np.diff(grid)
-    steps = np.empty_like(dgrid)
-    steps[1:] = (lam[1:] + lam[:-1]) / 2.0 * dgrid[1:]
-    steps[0] = grid[1] ** k_shape  # first cell integrated exactly
-    cum = np.concatenate(([0.0], np.cumsum(steps)))
-    return np.interp(target, cum, grid)
+    return (u * np.exp(-eta)) ** (1.0 / k_shape)
 
 
 def generate(config: SimConfig) -> Dataset:

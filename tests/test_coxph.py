@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from survent import Dataset, fit, partial_loglik
+from survent import Dataset, SimConfig, fit, generate, partial_loglik
+from survent import coxph
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, make_tied_dataset
 
 
 def brute_partial_loglik(beta: np.ndarray, y, delta, X) -> float:
@@ -22,6 +23,55 @@ def brute_partial_loglik(beta: np.ndarray, y, delta, X) -> float:
         denom = sum(math.exp(float(X[j] @ beta)) for j in risk)
         ll += float(X[i] @ beta) - math.log(denom)
     return ll
+
+
+def loop_loglik_parts(beta: np.ndarray, ds: Dataset):
+    """Reference Breslow sums: one event-time group at a time, with the
+    n x p x p tensor of outer products for the Hessian."""
+    order = np.argsort(ds.y, kind="stable")
+    y, d, Xs = ds.y[order], ds.delta[order].astype(bool), ds.X[order]
+    n, p = Xs.shape
+    first_idx = np.zeros(n, dtype=np.int64)
+    for i in range(1, n):
+        first_idx[i] = first_idx[i - 1] if y[i] == y[i - 1] else i
+    xb = Xs @ beta
+    xb -= xb.max()
+    w = np.exp(xb)
+    s0 = np.cumsum(w[::-1])[::-1]
+    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1]
+    outer = Xs[:, :, None] * Xs[:, None, :] * w[:, None, None]
+    s2 = np.cumsum(outer[::-1], axis=0)[::-1]
+    ll, grad, hess = 0.0, np.zeros(p), np.zeros((p, p))
+    for t in np.unique(y[d]):
+        events = np.flatnonzero(d & (y == t))
+        start = first_idx[events[0]]
+        xbar = s1[start] / s0[start]
+        ll += float(xb[events].sum()) - events.size * math.log(s0[start])
+        grad += Xs[events].sum(axis=0) - events.size * xbar
+        hess -= events.size * (s2[start] / s0[start] - np.outer(xbar, xbar))
+    return ll, grad, hess
+
+
+@pytest.mark.parametrize("make", [make_random_dataset, make_tied_dataset],
+                         ids=["random", "tied"])
+@pytest.mark.parametrize("n", [10, 300, 3000])
+def test_kernel_matches_per_group_loop(make, n):
+    # the tied samples carry a censored/event tie at a risk-set start
+    ds = make(7, n=n, n_features=4)
+    _, X = coxph._design(ds, None)
+    prep = coxph._prepare(ds, X)
+    rng = np.random.default_rng(n)
+    for beta in (np.zeros(4), rng.normal(0, 1, 4), rng.normal(0, 3, 4)):
+        ll, grad, hess = coxph._loglik_parts(beta, *prep, want_hessian=True)
+        ll_ref, grad_ref, hess_ref = loop_loglik_parts(beta, ds)
+        assert ll == pytest.approx(ll_ref, rel=1e-12)
+        np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-9)
+        scale = np.abs(hess_ref).max()
+        np.testing.assert_allclose(hess, hess_ref, rtol=0, atol=1e-12 * scale)
+        ll_only, grad_only, none = coxph._loglik_parts(beta, *prep,
+                                                       want_hessian=False)
+        assert none is None and ll_only == ll
+        np.testing.assert_array_equal(grad_only, grad)
 
 
 def test_loglik_at_zero_closed_form():
@@ -180,3 +230,23 @@ def test_singular_information_flagged():
     res = fit(ds)
     assert res.singular or not res.converged
     assert np.isnan(res.wald_p).any() or not res.converged
+
+
+def test_converges_at_readme_size():
+    # n = 10^4, 20% censored: an absolute tolerance would sit below the
+    # rounding noise of a loglik this large (about -6.4e4)
+    ds = generate(SimConfig(n=10_000, censor_target=0.2, seed=0))
+    res = fit(ds)
+    assert res.converged
+    assert res.message == ""
+    _, grad = partial_loglik(res.beta, ds)
+    assert np.abs(grad).max() <= 1e-6
+
+
+def test_converges_at_1e5():
+    # about half of the records censored
+    ds = generate(SimConfig(n=100_000, censor_rate=2.0, seed=1))
+    res = fit(ds)
+    assert res.converged
+    assert res.message == ""
+    assert not res.singular

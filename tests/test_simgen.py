@@ -31,15 +31,6 @@ def test_inversion_monotone_in_exponent():
     assert np.all(np.diff(t) < 0)  # faster exhaustion, earlier event
 
 
-def test_quadrature_matches_closed_form():
-    rng = np.random.default_rng(0)
-    u = rng.exponential(1.0, 200)
-    eta = rng.normal(0, 1, 200)
-    closed = invert_reserve(u, eta, 1.5)
-    numeric = invert_reserve(u, eta, 1.5, method="quadrature")
-    np.testing.assert_allclose(numeric, closed, rtol=1e-3, atol=1e-6)
-
-
 def test_status_matches_hidden_truth():
     ds = generate(SimConfig(n=500, censor_rate=0.5, seed=3))
     T, C = ds.hidden["true_t"], ds.hidden["true_c"]
