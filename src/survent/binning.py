@@ -2,8 +2,9 @@
 
 Bins are left-closed/right-open with the final bin right-closed, so the
 maximum in-range value is always assigned.  Out-of-range values clamp to the
-nearest terminal bin and are tallied rather than rejected, because
-sub-collection analyses reuse globally derived schemes on subsets.
+nearest terminal bin and are tallied rather than rejected, because an
+explicit scheme from the column config is applied unchanged to the whole
+sample and to every sub-collection, whose values need not span it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,26 @@
 """Batch command-line front end.
 
 Subcommands: ``simulate``, ``analyze``, ``censor-test``, ``mfs``,
-``subdivide``, ``cox``.  Every run writes a manifest (command, config
-snapshot, seed, input/output digests, timings) next to its outputs, so
-reruns can be audited; identical invocations produce byte-identical outputs
-apart from the manifest timestamps.
+``subdivide``, ``cox``.  ``analyze`` runs the bodies of ``mfs``, ``cox``,
+``censor-test`` (into ``censor_test/``) and, with ``--subdivide``,
+``subdivide``, plus the covariate-association matrix; each of those files is
+byte-identical to the one the command of its own writes from the same input
+and options.  Sub-collections are categorised exactly as the whole sample is:
+the config's explicit edges where given, else ``--feature-bins`` equal-width
+bins over the sub-collection's own range.
+
+Every run writes ``manifest.json`` next to its outputs: command, argv,
+version, seed, the sha256 of every input and output, timings, and under
+``config`` the parsed ``options``, the column config (``columns``) and the
+response-time edges (``time_edges``) when the command reads an input.
+Identical invocations produce byte-identical outputs apart from the
+manifest timestamps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+The last covers an unreadable or invalid config, an unreadable input, a
+feature named by ``--subdivide``, ``--expand`` or ``--features`` that the
+config does not list, and invalid ``simulate`` settings; all of them are
+found before any output is written.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 
@@ -26,6 +41,7 @@ from .censor_test import run_censor_test
 from .coxph import fit as cox_fit
 from .data import ColumnConfig, ConfigError, Dataset, ingest_csv
 from .mfs import (
+    CategorizedFeatures,
     categorize_features,
     ce_expansion,
     mce_matrix,
@@ -49,21 +65,110 @@ def _sha256(path: Path) -> str:
 
 
 class Manifest:
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
+    """One invocation: its inputs, bins, categories, outputs and manifest.
+
+    The column config is read, and every feature the options name is
+    checked against it, when the run starts.  The dataset, the response-time
+    scheme and the whole sample's categories are built once, on first use.
+    Each output is recorded as it is written (:meth:`file`,
+    :meth:`write_rows`, :meth:`write_json`, or ``written +=`` the paths a
+    library writer returns); :meth:`write` hashes them into
+    ``manifest.json``.
+    """
+
+    def __init__(self, args: argparse.Namespace, argv: list[str]):
+        self.args = args
         self.started = time.time()
+        self.written: list[Path] = []
         self.record: dict = {
-            "command": command,
-            "argv": sys.argv[1:],
+            "command": args.command,
+            "argv": list(argv),
             "version": __version__,
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             "config": {},
             "inputs": {},
             "outputs": {},
         }
+        opts = vars(args)
+        if "input" in opts:
+            base, extensions = opts.get("expand") or (None, [])
+            named = [opts.get("subdivide"), base, *sum(extensions, []),
+                     *(opts.get("features") or [])]
+            for name in named:
+                if name is not None and name not in self.config.features:
+                    raise UsageError(f"unknown feature {name!r}")
 
-    def add_config(self, **kv) -> None:
-        self.record["config"].update(kv)
+    @cached_property
+    def config(self) -> ColumnConfig:
+        try:
+            config = ColumnConfig.from_json(self.args.config)
+        except (OSError, ValueError) as exc:  # JSON errors are ValueErrors
+            raise ConfigError(
+                f"cannot read config {self.args.config}: {exc}") from None
+        self.add_input(Path(self.args.config))
+        return config
+
+    @cached_property
+    def dataset(self) -> Dataset:
+        try:
+            dataset = ingest_csv(self.args.input, self.config)
+        except OSError as exc:
+            raise UsageError(f"cannot read input: {exc}") from None
+        self.add_input(Path(self.args.input))
+        return dataset
+
+    @cached_property
+    def scheme(self) -> BinningScheme:
+        """Response-time bins: explicit edges from the config win; otherwise
+        equal-width bins over the full observed range (so censored-only tail
+        bins exist, as in hand-chosen clinical schemes) or product-limit
+        quantile bins."""
+        bins = self.config.bins or {}
+        if self.config.time in bins:
+            return explicit_bins(bins[self.config.time])
+        if self.args.time_binning == "km":
+            return km_quantile_bins(self.dataset, self.args.time_bins)
+        return equal_width_bins(self.dataset.y, self.args.time_bins)
+
+    @cached_property
+    def cats(self) -> CategorizedFeatures:
+        return self.categorize(self.dataset)
+
+    def categorize(self, dataset: Dataset) -> CategorizedFeatures:
+        """Categories of the whole sample or of one sub-collection: the
+        config's explicit edges where given, else ``--feature-bins``
+        equal-width bins over the collection's own range."""
+        schemes = {name: explicit_bins(edges)
+                   for name, edges in (self.config.bins or {}).items()
+                   if name != self.config.time}
+        return categorize_features(dataset, n_bins=self.args.feature_bins,
+                                   schemes=schemes)
+
+    @cached_property
+    def outdir(self) -> Path:
+        opts = vars(self.args)
+        out = Path(opts["outdir"]) if "outdir" in opts else Path(opts["out"]).parent
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    def file(self, name: str | Path) -> Path:
+        """Record, and return, the path of an output under the outdir."""
+        path = self.outdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.written.append(path)
+        return path
+
+    def write_rows(self, name: str | Path, rows: list[dict],
+                   fieldnames: list[str] | None = None) -> None:
+        with open(self.file(name), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(
+                fh, fieldnames=fieldnames or list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    def write_json(self, name: str | Path, payload: dict) -> None:
+        with open(self.file(name), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
 
     def add_input(self, path: Path) -> None:
         self.record["inputs"][str(path)] = _sha256(path)
@@ -72,237 +177,119 @@ class Manifest:
         for p in paths:
             self.record["outputs"][str(p)] = _sha256(Path(p))
 
-    def write(self, outdir: Path) -> None:
+    def write(self) -> None:
+        """Hash the outputs and write ``manifest.json`` beside them."""
+        config = self.record["config"]
+        config["options"] = {k: v for k, v in vars(self.args).items()
+                             if k != "command"}
+        if "config" in vars(self):
+            config["columns"] = self.config.to_dict()
+        if "scheme" in vars(self):
+            config["time_edges"] = list(self.scheme.edges)
+        self.add_outputs(self.written)
         self.record["started"] = self.started
         self.record["finished"] = time.time()
         self.record["duration_s"] = self.record["finished"] - self.started
-        with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+        with open(self.outdir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(self.record, fh, indent=2)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load(args) -> tuple[Dataset, ColumnConfig]:
-    config = ColumnConfig.from_json(args.config)
-    dataset = ingest_csv(args.input, config)
-    return dataset, config
-
-
-def _time_scheme(args, dataset: Dataset, config: ColumnConfig) -> BinningScheme:
-    """Response-time bins: explicit edges from the config win; otherwise
-    equal-width bins over the full observed range (so censored-only tail
-    bins exist, as in hand-chosen clinical schemes) or product-limit
-    quantile bins."""
-    if config.bins and config.time in config.bins:
-        return explicit_bins(config.bins[config.time])
-    if args.time_binning == "km":
-        return km_quantile_bins(dataset, args.time_bins)
-    return equal_width_bins(dataset.y, args.time_bins)
-
-
-def _feature_schemes(config: ColumnConfig) -> dict:
-    out = {}
-    for name, edges in (config.bins or {}).items():
-        if name != config.time:
-            out[name] = explicit_bins(edges)
-    return out
-
-
-def _write_rows(path: Path, rows: list[dict],
-                fieldnames: list[str] | None = None) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=fieldnames or list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
-
-
-def _write_cox(fitres, outdir: Path) -> list[Path]:
-    """Write ``cox.csv`` and ``cox.json``; warn on stderr if the fit did not
-    converge."""
-    rows = fitres.summary_rows()
-    _write_rows(outdir / "cox.csv", rows)
-    with open(outdir / "cox.json", "w", encoding="utf-8") as fh:
-        json.dump({"converged": fitres.converged,
-                   "iterations": fitres.iterations,
-                   "loglik": fitres.loglik,
-                   "singular": fitres.singular,
-                   "message": fitres.message,
-                   "coefficients": rows}, fh, indent=2)
-    if not fitres.converged:
-        print(f"warning: {fitres.message or 'did not converge'}",
-              file=sys.stderr)
-    return [outdir / "cox.csv", outdir / "cox.json"]
-
-
-def cmd_simulate(args) -> int:
-    if not 0 < args.censor_rate < 1:
-        raise UsageError("--censor-rate must lie strictly between 0 and 1")
-    manifest = Manifest("simulate", args)
-    config = SimConfig(n=args.n, censor_target=args.censor_rate, seed=args.seed)
+def cmd_simulate(run: Manifest) -> str:
+    args = run.args
+    try:
+        config = SimConfig(n=args.n, censor_target=args.censor_rate,
+                           seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"invalid simulation settings: {exc}") from None
     dataset = generate(config)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    written = write_dataset_csv(dataset, out)
-    manifest.add_config(n=args.n, censor_target=args.censor_rate,
-                        rate_used=dataset.meta["censor_rate_used"])
-    manifest.add_outputs(written)
-    manifest.write(out.parent)
-    print(f"wrote {out} ({dataset.n} rows, {dataset.n_c} censored)")
-    return 0
+    out = run.outdir / Path(args.out).name
+    run.written += write_dataset_csv(dataset, out)
+    return f"wrote {out} ({dataset.n} rows, {dataset.n_c} censored)"
 
 
-def _run_mfs_reports(dataset, scheme, cats, args, outdir, prefix="",
-                     features=None) -> list[Path]:
-    reports = run_mfs(dataset, scheme, cats=cats, max_order=args.max_order,
+def cmd_analyze(run: Manifest) -> None:
+    cmd_mfs(run)
+    if not run.args.no_cox:
+        cmd_cox(run)
+    if run.dataset.n_c and run.dataset.n_u:
+        cmd_censor_test(run, Path("censor_test"))
+    mce = mce_matrix(run.cats)
+    mce.to_csv(run.file("mce_matrix.csv"))
+    run.write_rows("mce_edges.csv",
+                   [{"a": a, "b": b, "mce": repr(m)} for a, b, m in mce.edges],
+                   fieldnames=["a", "b", "mce"])
+    if run.args.subdivide:
+        cmd_subdivide(run)
+
+
+def cmd_mfs(run: Manifest, dataset: Dataset | None = None,
+            cats: CategorizedFeatures | None = None, where: Path = Path(),
+            features: list[str] | None = None) -> None:
+    """Ranked feature sets (and the reliability null with
+    ``--reliability``) of the whole sample, or of the sub-collection
+    ``dataset`` with its ``cats``, under ``where``."""
+    args = run.args
+    if dataset is None:
+        dataset, cats = run.dataset, run.cats
+    reports = run_mfs(dataset, run.scheme, cats=cats, max_order=args.max_order,
                       features=features)
-    written = []
     if args.reliability > 0:
-        null = reliability_null(dataset, scheme, cats=cats,
+        null = reliability_null(dataset, run.scheme, cats=cats,
                                 n_rep=args.reliability,
                                 n_bins=args.feature_bins, seed=args.seed)
         for rec in reports[1].records:
             rec.reliability_p = null.p_value(rec.ce)
-        path = outdir / f"{prefix}reliability_null.csv"
-        _write_rows(path, [{"replicate": i + 1, "ce": repr(float(v))}
-                           for i, v in enumerate(null.ces)])
-        written.append(path)
+        run.write_rows(where / "reliability_null.csv",
+                       [{"replicate": i + 1, "ce": repr(float(v))}
+                        for i, v in enumerate(null.ces)])
     for order, report in reports.items():
-        stem = f"{prefix}mfs_order{order}"
-        report.to_csv(outdir / f"{stem}.csv")
-        with open(outdir / f"{stem}.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-        written += [outdir / f"{stem}.csv", outdir / f"{stem}.json"]
-    return written
+        run.write_rows(where / f"mfs_order{order}.csv", report.to_rows())
+        run.write_json(where / f"mfs_order{order}.json",
+                       report.to_json_dict())
 
 
-def cmd_analyze(args) -> int:
-    manifest = Manifest("analyze", args)
-    dataset, config = _load(args)
-    manifest.add_input(Path(args.input))
-    manifest.add_input(Path(args.config))
-    outdir = _outdir(args)
-    scheme = _time_scheme(args, dataset, config)
-    cats = categorize_features(dataset, n_bins=args.feature_bins,
-                               schemes=_feature_schemes(config))
-    manifest.add_config(config=config.to_dict(), time_edges=list(scheme.edges),
-                        feature_bins=args.feature_bins,
-                        max_order=args.max_order)
-    written = _run_mfs_reports(dataset, scheme, cats, args, outdir)
-
-    if not args.no_cox:
-        written += _write_cox(cox_fit(dataset), outdir)
-
-    if dataset.n_c and dataset.n_u:
-        result = run_censor_test(dataset, scheme, n_sim=args.n_sim,
-                                 seed=args.seed)
-        written += result.write(outdir / "censor_test")
-
-    mce = mce_matrix(cats)
-    mce.to_csv(outdir / "mce_matrix.csv")
-    written.append(outdir / "mce_matrix.csv")
-    _write_rows(outdir / "mce_edges.csv",
-                [{"a": a, "b": b, "mce": repr(m)} for a, b, m in mce.edges],
-                fieldnames=["a", "b", "mce"])
-    written.append(outdir / "mce_edges.csv")
-
-    if args.subdivide:
-        written += _cmd_subdivide_core(dataset, scheme, cats, args, outdir)
-
-    manifest.add_outputs(written)
-    manifest.write(outdir)
-    print(f"analyze: wrote {len(written)} files to {outdir}")
-    return 0
+def cmd_subdivide(run: Manifest) -> None:
+    feature = run.args.subdivide
+    rest = [f for f in run.dataset.feature_names if f != feature]
+    for level, sub in subdivide(run.dataset, run.cats, feature):
+        where = Path(f"{feature}={level}")
+        cats = run.categorize(sub)
+        cmd_mfs(run, sub, cats, where, features=rest)
+        if run.args.expand:
+            base, extensions = run.args.expand
+            exp = ce_expansion(sub, run.scheme, cats, base, extensions)
+            exp.to_csv(run.file(where / "ce_expansion.csv"))
 
 
-def _cmd_subdivide_core(dataset, scheme, cats, args, outdir) -> list[Path]:
-    feature = args.subdivide
-    if feature not in dataset.feature_names:
-        raise UsageError(f"unknown feature {feature!r}")
-    written = []
-    rest = [f for f in dataset.feature_names if f != feature]
-    for level, sub in subdivide(dataset, cats, feature):
-        subdir = outdir / f"{feature}={level}"
-        subdir.mkdir(parents=True, exist_ok=True)
-        sub_cats = categorize_features(sub, n_bins=args.feature_bins)
-        written += _run_mfs_reports(sub, scheme, sub_cats, args, subdir,
-                                    features=rest)
-        if args.expand:
-            base, _, exts = args.expand.partition(":")
-            extensions = [e.split("+") for e in exts.split(",") if e]
-            exp = ce_expansion(sub, scheme, sub_cats, base, extensions)
-            exp.to_csv(subdir / "ce_expansion.csv")
-            written.append(subdir / "ce_expansion.csv")
-    return written
+def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:
+    result = run_censor_test(run.dataset, run.scheme, n_sim=run.args.n_sim,
+                             seed=run.args.seed)
+    run.written += result.write(run.outdir / where)
+    return result.verdict
 
 
-def cmd_censor_test(args) -> int:
-    manifest = Manifest("censor-test", args)
-    dataset, config = _load(args)
-    manifest.add_input(Path(args.input))
-    manifest.add_input(Path(args.config))
-    outdir = _outdir(args)
-    scheme = _time_scheme(args, dataset, config)
-    result = run_censor_test(dataset, scheme, n_sim=args.n_sim, seed=args.seed)
-    written = result.write(outdir)
-    manifest.add_config(time_edges=list(scheme.edges), n_sim=args.n_sim)
-    manifest.add_outputs(written)
-    manifest.write(outdir)
-    print(result.verdict)
-    return 0
+def cmd_cox(run: Manifest) -> str:
+    """Write ``cox.csv`` and ``cox.json``; warn on stderr if the fit did not
+    converge."""
+    fitres = cox_fit(run.dataset, features=vars(run.args).get("features"))
+    rows = fitres.summary_rows()
+    run.write_rows("cox.csv", rows)
+    run.write_json("cox.json", {"converged": fitres.converged,
+                                "iterations": fitres.iterations,
+                                "loglik": fitres.loglik,
+                                "singular": fitres.singular,
+                                "message": fitres.message,
+                                "coefficients": rows})
+    if not fitres.converged:
+        print(f"warning: {fitres.message or 'did not converge'}",
+              file=sys.stderr)
+    return f"cox: loglik {fitres.loglik:.4f}, converged={fitres.converged}"
 
 
-def cmd_mfs(args) -> int:
-    manifest = Manifest("mfs", args)
-    dataset, config = _load(args)
-    manifest.add_input(Path(args.input))
-    manifest.add_input(Path(args.config))
-    outdir = _outdir(args)
-    scheme = _time_scheme(args, dataset, config)
-    cats = categorize_features(dataset, n_bins=args.feature_bins,
-                               schemes=_feature_schemes(config))
-    written = _run_mfs_reports(dataset, scheme, cats, args, outdir)
-    manifest.add_config(time_edges=list(scheme.edges), max_order=args.max_order)
-    manifest.add_outputs(written)
-    manifest.write(outdir)
-    print(f"mfs: wrote {len(written)} files to {outdir}")
-    return 0
-
-
-def cmd_subdivide(args) -> int:
-    manifest = Manifest("subdivide", args)
-    dataset, config = _load(args)
-    manifest.add_input(Path(args.input))
-    manifest.add_input(Path(args.config))
-    outdir = _outdir(args)
-    scheme = _time_scheme(args, dataset, config)
-    cats = categorize_features(dataset, n_bins=args.feature_bins,
-                               schemes=_feature_schemes(config))
-    written = _cmd_subdivide_core(dataset, scheme, cats, args, outdir)
-    manifest.add_outputs(written)
-    manifest.write(outdir)
-    print(f"subdivide: wrote {len(written)} files to {outdir}")
-    return 0
-
-
-def cmd_cox(args) -> int:
-    manifest = Manifest("cox", args)
-    dataset, config = _load(args)
-    manifest.add_input(Path(args.input))
-    manifest.add_input(Path(args.config))
-    outdir = _outdir(args)
-    features = args.features.split(",") if args.features else None
-    fitres = cox_fit(dataset, features=features)
-    written = _write_cox(fitres, outdir)
-    manifest.add_outputs(written)
-    manifest.write(outdir)
-    print(f"cox: loglik {fitres.loglik:.4f}, converged={fitres.converged}")
-    return 0
+def _expansion(spec: str) -> tuple[str, list[list[str]]]:
+    """``BASE:EXT1,EXT2`` -> (base, extensions); '+' fuses an extension."""
+    base, _, exts = spec.partition(":")
+    return base, [e.split("+") for e in exts.split(",") if e]
 
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
@@ -336,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--censor-rate", type=float, required=True,
-                   help="target censored fraction in (0, 1)")
+                   help="target censored fraction in [0.005, 1)")
     p.add_argument("--out", required=True, help="output CSV path")
     _add_common(p, needs_input=False)
 
@@ -348,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sim", type=int, default=10_000)
     p.add_argument("--subdivide", metavar="FEATURE",
                    help="also analyze each category of FEATURE separately")
-    p.add_argument("--expand", metavar="BASE:EXT1,EXT2",
+    p.add_argument("--expand", metavar="BASE:EXT1,EXT2", type=_expansion,
                    help="emit expansion dots in sub-collections "
                         "(extensions joined with '+' fuse into pairs)")
 
@@ -367,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_binning(p)
     p.add_argument("--subdivide", dest="subdivide", required=True,
                    metavar="FEATURE")
-    p.add_argument("--expand", metavar="BASE:EXT1,EXT2")
+    p.add_argument("--expand", metavar="BASE:EXT1,EXT2", type=_expansion)
 
     p = sub.add_parser("cox", help="proportional-hazards fit")
     _add_common(p)
-    p.add_argument("--features", help="comma-separated subset of features")
+    p.add_argument("--features", type=lambda s: s.split(","),
+                   help="comma-separated subset of features")
     return parser
 
 
@@ -389,13 +377,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        run = Manifest(args, sys.argv[1:] if argv is None else argv)
+        message = _HANDLERS[args.command](run)
+        run.write()
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(message or f"{args.command}: wrote {len(run.written)} files to "
+          f"{run.outdir}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

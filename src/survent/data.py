@@ -218,33 +218,28 @@ class Dataset:
         )
 
     def promote_largest_censored(self) -> "Dataset":
-        """Treat the trailing censored observation as an event.
+        """Treat the trailing censored observations as events.
 
         Standard convention before product-limit estimation and weight
         redistribution: the record that sorts last (largest observed time;
         events before censorings at ties, then input order) has nothing to
         its right to receive its mass, so when it is censored it is
-        converted to an event.  A no-op (returning ``self``) when that
-        record is already an event or a promotion was applied before.  The
-        promoted row is recorded in ``meta`` under ``promoted_index`` /
-        ``promoted_id``.
+        converted to an event.  A promoted record then sorts ahead of the
+        censored records tied with it, so promotion repeats until the last
+        record is an event: every censored record at the largest time is
+        promoted.  A no-op (returning ``self``) when there is none, e.g.
+        after a promotion.  The promoted rows, in descending row order (the
+        order of the repeated promotion), are recorded in ``meta`` under
+        ``promoted_index`` / ``promoted_id``.
         """
         if self.n == 0:
             raise ValueError("empty dataset")
-        delta = np.array(self.delta)
-        promoted: list[int] = []
-        # a promoted record re-sorts ahead of censored records tied at the
-        # same time, which can expose another trailing censored record;
-        # iterate until the trailing ordered record is an event
-        while True:
-            order = np.lexsort((np.arange(self.n), 1 - delta, self.y))
-            last = int(order[-1])
-            if delta[last] == 1:
-                break
-            delta[last] = 1
-            promoted.append(last)
+        promoted = np.flatnonzero((self.delta == 0)
+                                  & (self.y == self.y.max()))[::-1].tolist()
         if not promoted:
             return self
+        delta = np.array(self.delta)
+        delta[promoted] = 1
         return Dataset(
             y=self.y,
             delta=delta,

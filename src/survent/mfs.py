@@ -53,13 +53,9 @@ class CategorizedFeatures:
     names: tuple[str, ...]
     codes: np.ndarray  # n x K, int64
     levels: Mapping[str, tuple]
-    schemes: Mapping[str, BinningScheme | None]
 
     def column(self, name: str) -> np.ndarray:
         return self.codes[:, self.names.index(name)]
-
-    def n_levels(self, name: str) -> int:
-        return len(self.levels[name])
 
 
 def categorize_features(dataset: Dataset, n_bins: int = 4,
@@ -76,14 +72,12 @@ def categorize_features(dataset: Dataset, n_bins: int = 4,
     schemes = dict(schemes or {})
     codes = np.zeros((dataset.n, len(dataset.feature_names)), dtype=np.int64)
     levels: dict[str, tuple] = {}
-    out_schemes: dict[str, BinningScheme | None] = {}
     for j, name in enumerate(dataset.feature_names):
         col = dataset.X[:, j]
         if dataset.feature_kinds[j] == "categorical" and name not in schemes:
             uniq, inv = np.unique(col, return_inverse=True)
             codes[:, j] = inv + 1
             levels[name] = tuple(range(1, uniq.size + 1))
-            out_schemes[name] = None
             continue
         scheme = schemes.get(name)
         if scheme is None:
@@ -92,13 +86,10 @@ def categorize_features(dataset: Dataset, n_bins: int = 4,
             except DegenerateRangeError:
                 codes[:, j] = 1
                 levels[name] = (1,)
-                out_schemes[name] = None
                 continue
         codes[:, j], _ = categorize(col, scheme)
         levels[name] = tuple(range(1, scheme.nbins + 1))
-        out_schemes[name] = scheme
-    return CategorizedFeatures(tuple(dataset.feature_names), codes, levels,
-                               out_schemes)
+    return CategorizedFeatures(tuple(dataset.feature_names), codes, levels)
 
 
 @dataclass
@@ -155,15 +146,6 @@ class MFSReport:
             })
         return rows
 
-    def to_csv(self, path: str | Path) -> None:
-        import csv
-
-        rows = self.to_rows()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -179,17 +161,16 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             cats: CategorizedFeatures | None = None,
             max_order: int = 2,
             features: Sequence[str] | None = None,
-            interaction_factor: float = 3.0,
-            n_bins: int = 4,
-            label: str = "",
-            size_guard: bool = True) -> dict[int, MFSReport]:
+            n_bins: int = 4) -> dict[int, MFSReport]:
     """Evaluate all feature sets up to ``max_order`` and rank them.
 
     Orders above 3 are rejected: with composite categories multiplying per
     added feature, plug-in conditional entropies on realistic event counts
     lose meaning beyond triplets.  Records come back sorted ascending by
     conditional entropy, ties broken by feature names, so the ordering is
-    deterministic.
+    deterministic.  An order whose largest composite category count exceeds
+    a tenth of the events raises a ``UserWarning``; a set is called
+    interacting by :func:`interacting_flag` with its default factor 3.
     """
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be 1, 2 or 3")
@@ -222,15 +203,14 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
         sets = [tuple(c) for c in itertools.combinations(names, order)]
         results = [evaluate(s) for s in sets]
 
-        if size_guard:
-            worst = max((r[1].cells.shape[0] for r in results), default=0)
-            if dataset.n_u < 10 * worst:
-                warnings.warn(
-                    f"order-{order} composite categories reach {worst} levels "
-                    f"with only {dataset.n_u} events; plug-in conditional "
-                    "entropies may be unstable",
-                    stacklevel=2,
-                )
+        worst = max((r[1].cells.shape[0] for r in results), default=0)
+        if dataset.n_u < 10 * worst:
+            warnings.warn(
+                f"order-{order} composite categories reach {worst} levels "
+                f"with only {dataset.n_u} events; plug-in conditional "
+                "entropies may be unstable",
+                stacklevel=2,
+            )
 
         records = []
         for fset, table, ce in results:
@@ -253,8 +233,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
                 rec = AssociationRecord(
                     fset, ce, drop, sce,
                     ecological=eco, ecological_flag=eco_flag,
-                    interacting=interacting_flag(sce, minor, eco_flag,
-                                                 interaction_factor),
+                    interacting=interacting_flag(sce, minor, eco_flag),
                 )
             else:
                 pairs = list(itertools.combinations(fset, 2))
@@ -268,12 +247,12 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
                     fset, ce, drop, sce,
                     ecological=eco, ecological_flag=eco_flag,
                     interacting=interacting_flag(sce, drops[(added,)],
-                                                 eco_flag, interaction_factor),
+                                                 eco_flag),
                 )
             records.append(rec)
         records.sort(key=lambda r: (r.ce, r.features))
         reports[order] = MFSReport(order, records, h_response,
-                                   label or dataset.meta.get("subcollection", ""),
+                                   dataset.meta.get("subcollection", ""),
                                    dataset.n, dataset.n_u)
     return reports
 

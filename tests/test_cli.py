@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from survent import fit
+from survent import (
+    categorize_features,
+    equal_width_bins,
+    explicit_bins,
+    fit,
+    ingest_csv,
+    run_mfs,
+    subdivide,
+)
 from survent.cli import main
 
 
@@ -100,7 +108,8 @@ def test_analyze_missing_config_exits_2(sim_files, tmp_path):
     rc = main(["analyze", "--input", str(data),
                "--config", str(tmp_path / "nope.json"),
                "--outdir", str(tmp_path / "o")])
-    assert rc in (1, 2)
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_bad_column_config_exits_2(sim_files, tmp_path):
@@ -190,3 +199,118 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
                        if p.is_file() and p.name != "manifest.json")
         digests.append([_digest(p) for p in files])
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("command, opts", [
+    ("analyze", ["--subdivide", "nope"]),
+    ("analyze", ["--subdivide", "V9", "--expand", "V7:Vnope"]),
+    ("analyze", ["--expand", "V7:V3+Vnope"]),
+    ("subdivide", ["--subdivide", "V1", "--expand", "nope:V3"]),
+    ("cox", ["--features", "V1,nope"]),
+    ("mfs", ["--input", "{tmp}/missing.csv"]),
+    ("mfs", ["--config", "{tmp}/missing.json"]),
+    ("mfs", ["--config", "{tmp}/invalid.json"]),
+    ("simulate", ["--n", "0", "--censor-rate", "0.3"]),
+    ("simulate", ["--n", "10", "--censor-rate", "0.001"]),
+    ("simulate", ["--n", "10", "--censor-rate", "1.2"]),
+])
+def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
+                                               opts, capsys):
+    data, config = sim_files
+    (tmp_path / "invalid.json").write_text('{"time": "time",')
+    outdir = tmp_path / "out"
+    if command == "simulate":
+        given = ["--out", str(outdir / "sim.csv")]
+    else:  # a repeated option's last value wins
+        given = ["--input", str(data), "--config", str(config),
+                 "--outdir", str(outdir)]
+    opts = [o.format(tmp=tmp_path) for o in opts]
+    assert main([command, *given, *opts]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
+
+
+def test_subcollections_use_explicit_feature_bins(sim_files, tmp_path):
+    data, config = sim_files
+    cfg = json.loads(config.read_text())
+    cfg["bins"] = {"V2": [0.0, 0.5, 1.0]}
+    config2 = tmp_path / "binned.json"
+    config2.write_text(json.dumps(cfg))
+    outdir = tmp_path / "subs"
+    rc = main(["subdivide", "--input", str(data), "--config", str(config2),
+               "--outdir", str(outdir), "--subdivide", "V1",
+               "--max-order", "1"])
+    assert rc == 0
+    ds = ingest_csv(data, config2)
+    scheme = equal_width_bins(ds.y, 4)
+    v2_bins = {"V2": explicit_bins([0.0, 0.5, 1.0])}
+    for level, sub in subdivide(ds, categorize_features(ds, schemes=v2_bins),
+                                "V1"):
+        cats = categorize_features(sub, schemes=v2_bins)
+        assert cats.levels["V2"] == (1, 2)
+        expected = run_mfs(sub, scheme, cats=cats, max_order=1)[1]
+        report = json.loads((outdir / f"V1={level}" / "mfs_order1.json")
+                            .read_text())
+        ce = {r["features"]: r["ce"] for r in report["records"]}
+        assert ce["V2"] == expected.record_for(["V2"]).ce
+
+
+def _files(outdir: Path) -> dict[str, str]:
+    return {str(p.relative_to(outdir)): _digest(p)
+            for p in outdir.rglob("*")
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_commands_write_what_analyze_writes(sim_files, tmp_path):
+    data, config = sim_files
+    common = ["--input", str(data), "--config", str(config), "--seed", "3"]
+    binning = ["--max-order", "2", "--reliability", "20", "--feature-bins", "3"]
+    sub = ["--subdivide", "V9", "--expand", "V7:V3,V3+V6"]
+    runs = {
+        "analyze": [*binning, "--n-sim", "200", *sub],
+        "mfs": binning,
+        "censor-test": ["--n-sim", "200"],
+        "cox": [],
+        "subdivide": [*binning, *sub],
+    }
+    files = {}
+    for command, opts in runs.items():
+        outdir = tmp_path / command
+        assert main([command, *common, "--outdir", str(outdir), *opts]) == 0
+        files[command] = _files(outdir)
+    analyze = files.pop("analyze")
+    covered = set()
+    for command, written in files.items():
+        prefix = "censor_test/" if command == "censor-test" else ""
+        assert written
+        for name, digest in written.items():
+            assert analyze.get(prefix + name) == digest, (command, name)
+        covered |= {prefix + name for name in written}
+    assert set(analyze) - covered == {"mce_matrix.csv", "mce_edges.csv"}
+
+
+def test_manifest_outputs_are_the_files_written(sim_files, tmp_path):
+    data, config = sim_files
+    common = ["--input", str(data), "--config", str(config)]
+    runs = {
+        "simulate": ["--n", "50", "--censor-rate", "0.3"],
+        "analyze": [*common, "--max-order", "1", "--reliability", "5",
+                    "--n-sim", "50", "--subdivide", "V1", "--expand",
+                    "V2:V3"],
+        "censor-test": [*common, "--n-sim", "50"],
+        "mfs": [*common, "--max-order", "1"],
+        "subdivide": [*common, "--subdivide", "V1", "--max-order", "1"],
+        "cox": common,
+    }
+    for command, opts in runs.items():
+        outdir = tmp_path / command
+        target = (["--out", str(outdir / "sim.csv")] if command == "simulate"
+                  else ["--outdir", str(outdir)])
+        assert main([command, *opts, *target]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        listed = {str(Path(p).relative_to(outdir)): d
+                  for p, d in manifest["outputs"].items()}
+        assert listed == _files(outdir), command
+        assert manifest["command"] == command
+        assert manifest["argv"] == [command, *opts, *target]
+        assert "options" in manifest["config"]

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survent import (
     ColumnConfig,
@@ -136,3 +138,40 @@ def test_promotion_cascades_through_tied_censored_block():
     assert promoted.delta.tolist() == [1, 1, 1]
     assert set(promoted.meta["promoted_index"]) == {1, 2}
     assert promoted.original_delta().tolist() == [1, 0, 0]
+
+
+def _promote_by_resorting(ds: Dataset) -> tuple[list[int], list[int]]:
+    """Oracle: re-sort and promote the trailing record while it is censored."""
+    delta = np.array(ds.delta)
+    promoted = []
+    while True:
+        last = int(np.lexsort((np.arange(ds.n), 1 - delta, ds.y))[-1])
+        if delta[last] == 1:
+            return delta.tolist(), promoted
+        delta[last] = 1
+        promoted.append(last)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(1, 40), st.integers(1000, 3000)),
+       n_times=st.integers(1, 8),
+       censored=st.floats(0.0, 1.0))
+def test_promotion_matches_repeated_resort(seed, n, n_times, censored):
+    # few distinct times, so the largest one is shared by many records of
+    # both kinds; large n keeps the oracle's censored block long
+    rng = np.random.default_rng(seed)
+    ds = Dataset(y=rng.integers(0, n_times, n).astype(float),
+                 delta=(rng.uniform(size=n) >= censored).astype(int),
+                 meta={"source": "test"})
+    delta, promoted = _promote_by_resorting(ds)
+    out = ds.promote_largest_censored()
+    if not promoted:
+        assert out is ds
+        return
+    assert out.delta.tolist() == delta
+    assert out.meta == {"source": "test",
+                        "promoted_index": tuple(promoted),
+                        "promoted_id": tuple(ds.ids[i] for i in promoted)}
+    assert out.original_delta().tolist() == ds.delta.tolist()
+    assert out.promote_largest_censored() is out
