@@ -32,16 +32,16 @@ for w in caught:  # triplets multiply categories fast; the guard says so
 
 print(f"\nresponse entropy: {reports[1].h_response:.4f} nats")
 print("\ntop single features (CE ascending, drop = information gained):")
-for rec in reports[1].top(4):
+for rec in reports[1].records[:4]:
     print(f"  {rec.label:8s} CE={rec.ce:.4f}  drop={rec.ce_drop:.4f}")
 
 print("\ntop pairs (sce_drop = gain over the best member):")
-for rec in reports[2].top(4):
+for rec in reports[2].records[:4]:
     flag = "interacting" if rec.interacting else ""
     print(f"  {rec.label:8s} CE={rec.ce:.4f}  sce_drop={rec.sce_drop:.4f} {flag}")
 
 print("\ntop triplets:")
-for rec in reports[3].top(3):
+for rec in reports[3].records[:3]:
     print(f"  {rec.label:11s} CE={rec.ce:.4f}  sce_drop={rec.sce_drop:.4f}")
 
 # how low would the CE of a pure-noise feature go?  200 synthetic uniform

@@ -45,10 +45,7 @@ from .entropy import (
     interacting_flag,
     marginal_entropies,
     mutual_information,
-    rescaled_col_ces,
-    rescaled_row_ces,
     sce_drop,
-    shannon,
 )
 from .mfs import (
     AssociationRecord,
@@ -133,12 +130,9 @@ __all__ = [
     "mutual_information",
     "partial_loglik",
     "reliability_null",
-    "rescaled_col_ces",
-    "rescaled_row_ces",
     "run_censor_test",
     "run_mfs",
     "sce_drop",
-    "shannon",
     "subdivide",
     "table_from_binned",
     "table_from_weights",

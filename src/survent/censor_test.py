@@ -132,8 +132,7 @@ class CensorTestResult:
 
 
 def _axis_test(cells: np.ndarray, h_opposing: float, n_sim: int,
-               rng: np.random.Generator, rounding: str,
-               two_sided: bool) -> AxisTest:
+               rng: np.random.Generator) -> AxisTest:
     marg = cells.sum(axis=0)
     p_marg = marg / marg.sum()
     totals = cells.sum(axis=1)
@@ -145,12 +144,7 @@ def _axis_test(cells: np.ndarray, h_opposing: float, n_sim: int,
     min_err = np.full(cells.shape[0], np.nan)
     skipped = []
     for i, row in enumerate(cells):
-        if rounding == "round":
-            size = int(np.floor(totals[i] + 0.5))  # half-up, not banker's
-        elif rounding == "floor":
-            size = int(np.floor(totals[i]))
-        else:
-            raise ValueError("rounding must be 'round' or 'floor'")
+        size = int(np.floor(totals[i] + 0.5))  # half-up, not banker's
         if size <= 0 or totals[i] <= 0:
             skipped.append(i)
             null_samples.append(None)
@@ -162,10 +156,7 @@ def _axis_test(cells: np.ndarray, h_opposing: float, n_sim: int,
         alt = _entropies_of_rows(alt_counts) / h_opposing
         null_samples.append(null)
         alt_samples.append(alt)
-        if two_sided:
-            p_values[i] = _two_sided_p(null, float(rescaled[i]))
-        else:
-            p_values[i] = float(np.mean(null <= rescaled[i]))
+        p_values[i] = _two_sided_p(null, float(rescaled[i]))
         min_err[i] = 1.0 - _ks_distance(null, alt)
     return AxisTest(rescaled, totals, null_samples, alt_samples,
                     p_values, min_err, skipped)
@@ -177,17 +168,14 @@ def run_censor_test(dataset: Dataset | None = None,
                     table: ContingencyTable | None = None,
                     n_sim: int = 10_000,
                     seed: int = 0,
-                    alpha: float = 0.05,
-                    two_sided: bool = True,
-                    rounding: str = "round") -> CensorTestResult:
+                    alpha: float = 0.05) -> CensorTestResult:
     """Run the censoring-independence diagnostic.
 
     Either give a dataset plus the time-bin scheme (the summed
     censoring-vs-event table is built by redistribution), or feed a
     prebuilt ``table`` directly.  Row totals are fractional after
-    redistribution; multinomial draws use them rounded (``rounding``
-    selects round-half-up or floor).  ``two_sided=False`` reads only the
-    low tail, where dependence shows up.
+    redistribution; multinomial draws use them rounded half-up.  Each
+    row's and column's p-value is two-sided on its null sample.
     """
     notes: list[str] = []
     if table is not None:
@@ -203,10 +191,8 @@ def run_censor_test(dataset: Dataset | None = None,
         raise ValueError("degenerate marginal: cannot rescale conditional entropies")
 
     ss = np.random.SeedSequence(seed).spawn(2)
-    rows = _axis_test(table.cells, h_col, n_sim,
-                      np.random.default_rng(ss[0]), rounding, two_sided)
-    cols = _axis_test(table.cells.T, h_row, n_sim,
-                      np.random.default_rng(ss[1]), rounding, two_sided)
+    rows = _axis_test(table.cells, h_col, n_sim, np.random.default_rng(ss[0]))
+    cols = _axis_test(table.cells.T, h_row, n_sim, np.random.default_rng(ss[1]))
     for i in rows.skipped:
         notes.append(f"row {table.row_labels[i]} has zero mass; skipped")
     for j in cols.skipped:

@@ -12,15 +12,18 @@ bins over the sub-collection's own range.
 Every run writes ``manifest.json`` next to its outputs: command, argv,
 version, seed, the sha256 of every input and output, timings, and under
 ``config`` the parsed ``options``, the column config (``columns``) and the
-response-time edges (``time_edges``) when the command reads an input.
+response-time edges (``time_edges``) when the command reads an input, and
+under ``clamps`` each categorised collection's per-feature count of values
+clamped into a terminal bin.
 Identical invocations produce byte-identical outputs apart from the
 manifest timestamps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 The last covers an unreadable or invalid config, an unreadable input, a
 feature named by ``--subdivide``, ``--expand`` or ``--features`` that the
-config does not list, and invalid ``simulate`` settings; all of them are
-found before any output is written.
+config does not list, ``analyze --expand`` without ``--subdivide``, and
+invalid ``simulate`` settings; all of them are found before any output is
+written.
 """
 
 from __future__ import annotations
@@ -90,6 +93,8 @@ class Manifest:
             "outputs": {},
         }
         opts = vars(args)
+        if opts.get("expand") and not opts.get("subdivide"):
+            raise UsageError("--expand needs --subdivide")
         if "input" in opts:
             base, extensions = opts.get("expand") or (None, [])
             named = [opts.get("subdivide"), base, *sum(extensions, []),
@@ -137,12 +142,16 @@ class Manifest:
     def categorize(self, dataset: Dataset) -> CategorizedFeatures:
         """Categories of the whole sample or of one sub-collection: the
         config's explicit edges where given, else ``--feature-bins``
-        equal-width bins over the collection's own range."""
+        equal-width bins over the collection's own range.  Records its
+        clamp tallies under its sub-collection tag or "whole sample"."""
         schemes = {name: explicit_bins(edges)
                    for name, edges in (self.config.bins or {}).items()
                    if name != self.config.time}
-        return categorize_features(dataset, n_bins=self.args.feature_bins,
+        cats = categorize_features(dataset, n_bins=self.args.feature_bins,
                                    schemes=schemes)
+        collection = dataset.meta.get("subcollection") or "whole sample"
+        self.record.setdefault("clamps", {})[collection] = dict(cats.clamps)
+        return cats
 
     @cached_property
     def outdir(self) -> Path:
@@ -214,7 +223,7 @@ def cmd_analyze(run: Manifest) -> None:
     if run.dataset.n_c and run.dataset.n_u:
         cmd_censor_test(run, Path("censor_test"))
     mce = mce_matrix(run.cats)
-    mce.to_csv(run.file("mce_matrix.csv"))
+    run.write_rows("mce_matrix.csv", mce.to_rows())
     run.write_rows("mce_edges.csv",
                    [{"a": a, "b": b, "mce": repr(m)} for a, b, m in mce.edges],
                    fieldnames=["a", "b", "mce"])
@@ -258,7 +267,7 @@ def cmd_subdivide(run: Manifest) -> None:
         if run.args.expand:
             base, extensions = run.args.expand
             exp = ce_expansion(sub, run.scheme, cats, base, extensions)
-            exp.to_csv(run.file(where / "ce_expansion.csv"))
+            run.write_rows(where / "ce_expansion.csv", exp.to_rows())
 
 
 def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:

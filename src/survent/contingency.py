@@ -64,14 +64,6 @@ class ContingencyTable:
             for lab, row in zip(self.row_labels, self.cells):
                 writer.writerow([_label_str(lab), *(repr(float(v)) for v in row)])
 
-    def plot_triplets(self) -> list[tuple[str, str, float]]:
-        """(row label, col label, value) triplets for external heatmaps."""
-        out = []
-        for i, rl in enumerate(self.row_labels):
-            for j, cl in enumerate(self.col_labels):
-                out.append((_label_str(rl), _label_str(cl), float(self.cells[i, j])))
-        return out
-
 
 def _label_str(label: Hashable) -> str:
     if isinstance(label, tuple):
@@ -138,10 +130,9 @@ def fuse_categories(cat_vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, list
     return composite + 1, [tuple(row) for row in levels.tolist()]
 
 
-def table_plain(x_cats: np.ndarray, y_cats: np.ndarray,
-                x_labels: Sequence[Hashable] | None = None,
-                y_labels: Sequence[Hashable] | None = None) -> ContingencyTable:
-    """Integer cross-counts of two aligned ordinal vectors."""
+def table_plain(x_cats: np.ndarray, y_cats: np.ndarray) -> ContingencyTable:
+    """Integer cross-counts of two aligned ordinal vectors, labelled by the
+    observed codes."""
     x = np.asarray(x_cats)
     y = np.asarray(y_cats)
     if x.shape != y.shape:
@@ -149,22 +140,17 @@ def table_plain(x_cats: np.ndarray, y_cats: np.ndarray,
     ux, xi = _compact(x)
     uy, yi = _compact(y)
     cells = np.bincount(xi * uy.size + yi, minlength=ux.size * uy.size)
-    rl = tuple(x_labels) if x_labels is not None else tuple(ux.tolist())
-    cl = tuple(y_labels) if y_labels is not None else tuple(uy.tolist())
-    if x_labels is not None and len(rl) != ux.size:
-        raise ValueError("x_labels must cover exactly the observed categories")
-    if y_labels is not None and len(cl) != uy.size:
-        raise ValueError("y_labels must cover exactly the observed categories")
-    return ContingencyTable(rl, cl, cells.reshape(ux.size, uy.size))
+    return ContingencyTable(tuple(ux.tolist()), tuple(uy.tolist()),
+                            cells.reshape(ux.size, uy.size))
 
 
 def table_from_binned(binned: np.ndarray, row_cats: np.ndarray,
-                      row_labels: Sequence[Hashable] | None = None,
-                      col_labels: Sequence[Hashable] | None = None) -> ContingencyTable:
+                      row_labels: Sequence[Hashable] | None = None) -> ContingencyTable:
     """Weighted table from per-subject binned masses (n x k) and row codes.
 
     ``binned[i, b]`` is the redistributed mass of subject ``i`` in time bin
-    ``b``, as returned by :func:`binned_row_masses`.
+    ``b``, as returned by :func:`binned_row_masses`; columns are labelled
+    1..k.
     """
     B = np.asarray(binned, dtype=float)
     cats = np.asarray(row_cats)
@@ -176,8 +162,7 @@ def table_from_binned(binned: np.ndarray, row_cats: np.ndarray,
     cells = np.bincount(flat.ravel(), weights=B.ravel(),
                         minlength=uniq.size * k).reshape(uniq.size, k)
     rl = tuple(row_labels) if row_labels is not None else tuple(uniq.tolist())
-    cl = tuple(col_labels) if col_labels is not None else tuple(range(1, k + 1))
-    return ContingencyTable(rl, cl, cells)
+    return ContingencyTable(rl, tuple(range(1, k + 1)), cells)
 
 
 def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
@@ -204,8 +189,7 @@ def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
         sel = col_bin == b
         if sel.any():
             binned[:, b - 1] = W.weights[:, sel].sum(axis=1)
-    return table_from_binned(binned, cats, row_labels=row_labels,
-                             col_labels=tuple(range(1, k + 1)))
+    return table_from_binned(binned, cats, row_labels=row_labels)
 
 
 def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme

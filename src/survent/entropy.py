@@ -9,7 +9,6 @@ rounding, with the raw value available on request.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -35,16 +34,6 @@ def _entropies_of_rows(counts: np.ndarray) -> np.ndarray:
     pos = totals > 0
     out[pos] = np.log(totals[pos]) - clogc[pos] / totals[pos]
     return out
-
-
-def shannon(p: Sequence[float], *, atol: float = 1e-9) -> float:
-    """Entropy of a probability vector, validating normalization."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > atol:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return _entropy_of_counts(p)
 
 
 def marginal_entropies(table: ContingencyTable) -> tuple[float, float]:
@@ -126,20 +115,3 @@ def interacting_flag(sce: float, ce_drop_minor: float, ecological: bool,
         return False
     return sce >= factor * ce_drop_minor
 
-
-def rescaled_row_ces(table: ContingencyTable) -> np.ndarray:
-    """Per-row entropies divided by the column-marginal entropy.
-
-    Values near 1 mean a row profile is as uncertain as the pooled column
-    distribution (the row tells you nothing); may exceed 1.
-    """
-    _, per_row = conditional_entropy(table)
-    h_col = _entropy_of_counts(table.col_sums())
-    if h_col <= 0:
-        raise ValueError("degenerate column marginal")
-    return per_row / h_col
-
-
-def rescaled_col_ces(table: ContingencyTable) -> np.ndarray:
-    """Column-wise counterpart of :func:`rescaled_row_ces`."""
-    return rescaled_row_ces(table.transpose())

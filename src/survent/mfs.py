@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .entropy import (
     ecological_effect,
     interacting_flag,
     mutual_information,
+    sce_drop,
 )
 from .redistribution import binned_row_masses
 
@@ -53,6 +53,7 @@ class CategorizedFeatures:
     names: tuple[str, ...]
     codes: np.ndarray  # n x K, int64
     levels: Mapping[str, tuple]
+    clamps: Mapping[str, int]  # values clamped into a terminal bin, if any
 
     def column(self, name: str) -> np.ndarray:
         return self.codes[:, self.names.index(name)]
@@ -72,6 +73,7 @@ def categorize_features(dataset: Dataset, n_bins: int = 4,
     schemes = dict(schemes or {})
     codes = np.zeros((dataset.n, len(dataset.feature_names)), dtype=np.int64)
     levels: dict[str, tuple] = {}
+    clamps: dict[str, int] = {}
     for j, name in enumerate(dataset.feature_names):
         col = dataset.X[:, j]
         if dataset.feature_kinds[j] == "categorical" and name not in schemes:
@@ -87,9 +89,12 @@ def categorize_features(dataset: Dataset, n_bins: int = 4,
                 codes[:, j] = 1
                 levels[name] = (1,)
                 continue
-        codes[:, j], _ = categorize(col, scheme)
+        codes[:, j], clamped = categorize(col, scheme)
         levels[name] = tuple(range(1, scheme.nbins + 1))
-    return CategorizedFeatures(tuple(dataset.feature_names), codes, levels)
+        if clamped:
+            clamps[name] = clamped
+    return CategorizedFeatures(tuple(dataset.feature_names), codes, levels,
+                               clamps)
 
 
 @dataclass
@@ -120,9 +125,6 @@ class MFSReport:
     dataset_label: str
     n: int
     n_u: int
-
-    def top(self, m: int = 10) -> list[AssociationRecord]:
-        return self.records[:m]
 
     def record_for(self, features: Sequence[str]) -> AssociationRecord:
         key = tuple(sorted(features))
@@ -169,7 +171,8 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     lose meaning beyond triplets.  Records come back sorted ascending by
     conditional entropy, ties broken by feature names, so the ordering is
     deterministic.  An order whose largest composite category count exceeds
-    a tenth of the events raises a ``UserWarning``; a set is called
+    a tenth of the events raises a ``UserWarning`` naming the dataset's
+    ``subcollection`` tag (or "whole sample"); a set is called
     interacting by :func:`interacting_flag` with its default factor 3.
     """
     if not 1 <= max_order <= 3:
@@ -179,7 +182,6 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     names = list(features) if features is not None else list(cats.names)
     B, _ = binned_row_masses(dataset, time_scheme)
     h_response = _entropy_of_counts(B.sum(axis=0))
-    time_labels = tuple(range(1, time_scheme.nbins + 1))
 
     code_of = {f: cats.column(f) for f in names}
     tables: dict[tuple[str, ...], ContingencyTable] = {}
@@ -191,10 +193,8 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             fused = code_of[fset[0]]
             labels = None
         else:
-            fused, tuples = fuse_categories([code_of[f] for f in fset])
-            labels = tuples
-        table = table_from_binned(B, fused, row_labels=labels,
-                                  col_labels=time_labels)
+            fused, labels = fuse_categories([code_of[f] for f in fset])
+        table = table_from_binned(B, fused, row_labels=labels)
         ce, _ = conditional_entropy(table)
         return fset, table, ce
 
@@ -206,6 +206,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
         worst = max((r[1].cells.shape[0] for r in results), default=0)
         if dataset.n_u < 10 * worst:
             warnings.warn(
+                f"{dataset.meta.get('subcollection') or 'whole sample'}: "
                 f"order-{order} composite categories reach {worst} levels "
                 f"with only {dataset.n_u} events; plug-in conditional "
                 "entropies may be unstable",
@@ -222,8 +223,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
                 rec = AssociationRecord(fset, ce, drop, sce_drop=drop)
             elif order == 2:
                 a, b = fset
-                best_sub = max(drops[(a,)], drops[(b,)])
-                sce = drop - best_sub
+                sce = sce_drop(h_response, ce, ces[(a,)], ces[(b,)])
                 minor = min(drops[(a,)], drops[(b,)])
                 i_ab = mutual_information(
                     table_plain(code_of[a], code_of[b]))
@@ -238,7 +238,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             else:
                 pairs = list(itertools.combinations(fset, 2))
                 best_pair = max(pairs, key=lambda p: drops[p])
-                sce = drop - drops[best_pair]
+                sce = sce_drop(h_response, ce, *(ces[p] for p in pairs))
                 added = next(f for f in fset if f not in best_pair)
                 # ecological difference over the split (best pair, remainder)
                 eco = drop - drops[best_pair] - drops[(added,)]
@@ -389,14 +389,12 @@ class MCEResult:
                             float(self.matrix[i, j])))
         return out
 
-    def to_csv(self, path: str | Path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["", *self.names])
-            for name, row in zip(self.names, self.matrix):
-                writer.writerow([name, *(f"{v:.6f}" for v in row)])
+    def to_rows(self) -> list[dict]:
+        """One row per feature, scores to six decimals; the first column
+        (named "") holds the feature."""
+        return [{"": name, **{other: f"{v:.6f}"
+                              for other, v in zip(self.names, row)}}
+                for name, row in zip(self.names, self.matrix)]
 
 
 def mce_matrix(cats: CategorizedFeatures,
@@ -452,17 +450,12 @@ class CEExpansion:
     def series(self, name: str) -> list[ExpansionDot]:
         return [d for d in self.dots if d.series == name]
 
-    def to_csv(self, path: str | Path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["series", "category", "rescaled_ce", "raw_ce",
-                             "mass", "dominant_response"])
-            for d in self.dots:
-                writer.writerow([d.series, "_".join(map(str, d.category)),
-                                 repr(d.rescaled_ce), repr(d.raw_ce),
-                                 repr(d.mass), d.dominant_response])
+    def to_rows(self) -> list[dict]:
+        return [{"series": d.series,
+                 "category": "_".join(map(str, d.category)),
+                 "rescaled_ce": d.rescaled_ce, "raw_ce": d.raw_ce,
+                 "mass": d.mass, "dominant_response": d.dominant_response}
+                for d in self.dots]
 
 
 def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,

@@ -21,9 +21,7 @@ Two constructions are provided:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,20 +65,19 @@ class StepFunction:
         return -np.diff(vals)
 
 
-def _ordered(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row order for the weight lattice: ascending y, events before
-    censorings at ties, then input order."""
-    order = np.lexsort((np.arange(dataset.n), 1 - dataset.delta, dataset.y))
-    return order, dataset.y[order], dataset.delta[order].astype(np.int8)
-
-
-def _prepared(dataset: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray, np.ndarray]:
-    """Promote the largest censored point, then order."""
+def _prepared(dataset: Dataset
+              ) -> tuple[Dataset, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Promote the largest censored point, order the rows (ascending y,
+    events before censorings at ties, then input order), and take the
+    product-limit survival just after each ordered point."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
     ds = dataset.promote_largest_censored()
-    order, ys, deltas = _ordered(ds)
-    return ds, order, ys, deltas
+    order = np.lexsort((np.arange(ds.n), 1 - ds.delta, ds.y))
+    ys, deltas = ds.y[order], ds.delta[order].astype(np.int8)
+    at_risk = ys.size - np.arange(ys.size)
+    factors = np.where(deltas == 1, 1.0 - 1.0 / at_risk, 1.0)
+    return ds, order, ys, deltas, np.cumprod(factors)
 
 
 def km_estimate(dataset: Dataset) -> StepFunction:
@@ -90,11 +87,7 @@ def km_estimate(dataset: Dataset) -> StepFunction:
     reaches zero at the last jump.  Tied event times aggregate into a single
     jump.
     """
-    _, _, ys, deltas = _prepared(dataset)
-    n = ys.size
-    at_risk = n - np.arange(n)
-    factors = np.where(deltas == 1, 1.0 - 1.0 / at_risk, 1.0)
-    surv = np.cumprod(factors)
+    _, _, ys, deltas, surv = _prepared(dataset)
     unc = np.flatnonzero(deltas == 1)
     t_unc = ys[unc]
     s_unc = surv[unc]
@@ -145,16 +138,6 @@ class WeightMatrix:
                 if bad.any():
                     raise AssertionError("censored row has mass at or left of its time")
 
-    def to_csv(self, path: str | Path) -> None:
-        """Emit (row id, column time, weight) triplets for plotting."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", "col_time", "weight"])
-            for i, rid in enumerate(self.row_ids):
-                for j in np.flatnonzero(self.weights[i]):
-                    writer.writerow([rid, repr(float(self.col_times[j])),
-                                     repr(float(self.weights[i, j]))])
-
 
 def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
     """Dense weight matrix via the left-to-right redistribution cascade.
@@ -163,7 +146,7 @@ def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
     exposition and tests as the oracle for :func:`binned_row_masses`, and
     no production path calls it.
     """
-    ds, order, ys, deltas = _prepared(dataset)
+    ds, order, ys, deltas, _ = _prepared(dataset)
     n = ys.size
     cens_pos = np.flatnonzero(deltas == 0)
     unc_pos = np.flatnonzero(deltas == 1)
@@ -205,11 +188,8 @@ def binned_row_masses(dataset: Dataset,
     bin's event times right of ``y_i``, divided by the survival just after
     ``y_i``; the subject-by-event-time matrix is never materialized.
     """
-    _, order, ys, deltas = _prepared(dataset)
+    _, order, ys, deltas, surv = _prepared(dataset)
     n = ys.size
-    at_risk = n - np.arange(n)
-    factors = np.where(deltas == 1, 1.0 - 1.0 / at_risk, 1.0)
-    surv = np.cumprod(factors)
     surv_before = np.concatenate(([1.0], surv[:-1]))
     jumps_pos = np.where(deltas == 1, surv_before - surv, 0.0)
     unc_pos = np.flatnonzero(deltas == 1)

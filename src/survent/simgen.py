@@ -145,23 +145,19 @@ def calibrate_censor_rate(config: SimConfig, target: float | None = None,
     )
 
 
-def write_dataset_csv(dataset: Dataset, path: str | Path,
-                      sidecar: bool = True) -> list[Path]:
+def write_dataset_csv(dataset: Dataset, path: str | Path) -> list[Path]:
     """Write the standard CSV schema plus a sidecar with the run config."""
     path = Path(path)
     dataset.to_csv(path)
-    written = [path]
-    if sidecar:
-        side = path.with_suffix(path.suffix + ".meta.json")
-        payload = {
-            "n": dataset.n,
-            "n_events": dataset.n_u,
-            "n_censored": dataset.n_c,
-            "features": list(dataset.feature_names),
-        }
-        payload.update({k: v for k, v in dataset.meta.items()
-                        if k in ("sim_config", "censor_rate_used")})
-        with open(side, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        written.append(side)
-    return written
+    side = path.with_suffix(path.suffix + ".meta.json")
+    payload = {
+        "n": dataset.n,
+        "n_events": dataset.n_u,
+        "n_censored": dataset.n_c,
+        "features": list(dataset.feature_names),
+    }
+    payload.update({k: v for k, v in dataset.meta.items()
+                    if k in ("sim_config", "censor_rate_used")})
+    with open(side, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+    return [path, side]

@@ -116,24 +116,13 @@ def test_zero_mass_row_skipped_with_notice():
     assert any("zero mass" in note for note in res.notes)
 
 
-def test_rounding_flag():
+def test_row_totals_round_half_up():
     cells = np.array([[1.4, 0.3], [0.4, 0.1]])
     t = ContingencyTable((1, 2), (1, 2), cells)
-    res_round = run_censor_test(table=t, n_sim=100, seed=0, rounding="round")
-    res_floor = run_censor_test(table=t, n_sim=100, seed=0, rounding="floor")
-    # row 2 mass 0.5: rounds to 0 on floor, stays on round
-    assert res_floor.rows.skipped == [1]
-    assert res_round.rows.skipped == []
-    with pytest.raises(ValueError):
-        run_censor_test(table=t, n_sim=10, seed=0, rounding="ceil")
-
-
-def test_one_sided_option():
-    ds = independent_dataset(3)
-    scheme = equal_width_bins(ds.y[ds.delta == 1], 4)
-    res = run_censor_test(ds, scheme, n_sim=500, seed=0, two_sided=False)
-    valid = res.rows.p_values[~np.isnan(res.rows.p_values)]
-    assert np.all((0 <= valid) & (valid <= 1))
+    res = run_censor_test(table=t, n_sim=100, seed=0)
+    # row 2 carries mass 0.5, which rounds up to one draw, not down to none
+    assert res.rows.skipped == []
+    assert all(s.size == 100 for s in res.rows.null_samples)
 
 
 def test_requires_input():

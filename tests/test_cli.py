@@ -11,10 +11,12 @@ import pytest
 
 from survent import (
     categorize_features,
+    ce_expansion,
     equal_width_bins,
     explicit_bins,
     fit,
     ingest_csv,
+    mce_matrix,
     run_mfs,
     subdivide,
 )
@@ -213,6 +215,7 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
     ("simulate", ["--n", "0", "--censor-rate", "0.3"]),
     ("simulate", ["--n", "10", "--censor-rate", "0.001"]),
     ("simulate", ["--n", "10", "--censor-rate", "1.2"]),
+    ("analyze", ["--expand", "V7:V3"]),
 ])
 def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
                                                opts, capsys):
@@ -314,3 +317,60 @@ def test_manifest_outputs_are_the_files_written(sim_files, tmp_path):
         assert manifest["command"] == command
         assert manifest["argv"] == [command, *opts, *target]
         assert "options" in manifest["config"]
+
+
+def test_manifest_tallies_clamps_per_collection(sim_files, tmp_path):
+    data, config = sim_files
+    cfg = json.loads(config.read_text())
+    cfg["bins"] = {"V2": [0.2, 0.5, 0.8]}
+    config2 = tmp_path / "binned.json"
+    config2.write_text(json.dumps(cfg))
+    outdir = tmp_path / "subs"
+    rc = main(["subdivide", "--input", str(data), "--config", str(config2),
+               "--outdir", str(outdir), "--subdivide", "V9",
+               "--max-order", "1"])
+    assert rc == 0
+    clamps = json.loads((outdir / "manifest.json").read_text())["clamps"]
+    assert clamps["whole sample"] == {"V2": 145}
+    assert set(clamps) == {"whole sample", *(f"V9={k}" for k in range(1, 5))}
+    assert sum(c["V2"] for k, c in clamps.items() if k != "whole sample") == 145
+
+
+def test_reports_match_csv_writer(sim_files, tmp_path):
+    """``mce_matrix.csv`` and ``ce_expansion.csv`` go through the run's row
+    writer; their bytes are those of a plain ``csv.writer`` on the same
+    results."""
+    import csv
+
+    data, config = sim_files
+    outdir = tmp_path / "out"
+    rc = main(["analyze", "--input", str(data), "--config", str(config),
+               "--outdir", str(outdir), "--max-order", "1", "--n-sim", "50",
+               "--no-cox", "--subdivide", "V9", "--expand", "V7:V3,V3+V6"])
+    assert rc == 0
+    ds = ingest_csv(data, config)
+    cats = categorize_features(ds)
+    scheme = equal_width_bins(ds.y, 4)
+    expected = tmp_path / "expected.csv"
+
+    mce = mce_matrix(cats)
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["", *mce.names])
+        for name, row in zip(mce.names, mce.matrix):
+            writer.writerow([name, *(f"{v:.6f}" for v in row)])
+    assert (outdir / "mce_matrix.csv").read_bytes() == expected.read_bytes()
+
+    for level, sub in subdivide(ds, cats, "V9"):
+        exp = ce_expansion(sub, scheme, categorize_features(sub), "V7",
+                           [["V3"], ["V3", "V6"]])
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["series", "category", "rescaled_ce", "raw_ce",
+                             "mass", "dominant_response"])
+            for d in exp.dots:
+                writer.writerow([d.series, "_".join(map(str, d.category)),
+                                 repr(d.rescaled_ce), repr(d.raw_ce),
+                                 repr(d.mass), d.dominant_response])
+        path = outdir / f"V9={level}" / "ce_expansion.csv"
+        assert path.read_bytes() == expected.read_bytes(), level

@@ -18,6 +18,7 @@ from survent import (
     equal_width_bins,
     explicit_bins,
     fuse_categories,
+    marginal_entropies,
     table_from_binned,
     table_from_weights,
     table_plain,
@@ -266,8 +267,6 @@ def test_censor_cross_mass_accounting():
 def test_censor_cross_independent_rescaled_ces_near_one():
     """With event and censoring times drawn independently from the same
     law, no row profile should look much different from the pooled one."""
-    from survent import rescaled_row_ces
-
     rng = np.random.default_rng(42)
     n = 2000
     T = rng.exponential(1.0, n)
@@ -275,7 +274,7 @@ def test_censor_cross_independent_rescaled_ces_near_one():
     ds = Dataset(y=np.minimum(T, C), delta=(T <= C).astype(int))
     scheme = equal_width_bins(ds.y[ds.delta == 1], 4)
     summed, _, _ = censor_cross_table(ds, scheme)
-    values = rescaled_row_ces(summed)
+    values = conditional_entropy(summed)[1] / marginal_entropies(summed)[1]
     assert np.all((values > 0.9) & (values < 1.1))
 
 
@@ -292,8 +291,6 @@ def test_table_csv_and_triplets(tmp_path):
     path = tmp_path / "t.csv"
     t.to_csv(path)
     assert "1_2" in path.read_text()
-    trip = t.plot_triplets()
-    assert ("2_2", "2", 2.5) in trip
 
 
 def test_table_from_binned_alignment_error():

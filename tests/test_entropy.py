@@ -18,9 +18,7 @@ from survent import (
     interacting_flag,
     marginal_entropies,
     mutual_information,
-    rescaled_row_ces,
     sce_drop,
-    shannon,
     table_plain,
 )
 
@@ -38,15 +36,6 @@ def oracle_joint_stats(cells: np.ndarray) -> tuple[float, float, float]:
     h_a = -sum(v * math.log(v) for v in pa if v > 0)
     h_y = -sum(v * math.log(v) for v in py if v > 0)
     return h_joint - h_a, h_a + h_y - h_joint, h_joint - h_y
-
-
-def test_shannon_hand_values():
-    assert shannon([0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
-    assert shannon([1.0, 0.0, 0.0, 0.0]) == 0.0
-    with pytest.raises(ValueError):
-        shannon([0.5, 0.6])
-    with pytest.raises(ValueError):
-        shannon([1.2, -0.2])
 
 
 def test_conditional_entropy_hand_cases():
@@ -158,7 +147,8 @@ def random_tables(draw):
 def test_entropy_bounds_property(t):
     ce, per_row = conditional_entropy(t)
     for row, h in zip(t.cells, per_row):
-        want = shannon(row / row.sum()) if row.sum() > 0 else 0.0
+        want = (-sum(v * math.log(v) for v in row / row.sum() if v > 0)
+                if row.sum() > 0 else 0.0)
         assert h == pytest.approx(want, abs=1e-12)
     h_row, h_col = marginal_entropies(t)
     assert -1e-12 <= ce <= h_col + 1e-12
@@ -295,9 +285,3 @@ def test_interacting_flag_rules():
     assert not interacting_flag(0.0, 0.5, True)
     assert not interacting_flag(0.0106, 0.0026, False)
     assert not interacting_flag(1e9, 1.0, True, factor=math.inf)
-
-
-def test_rescaled_row_ces_scale():
-    cells = np.outer([1, 1, 1], [0.2, 0.3, 0.5]) * 30
-    t = ContingencyTable((1, 2, 3), (1, 2, 3), cells)
-    np.testing.assert_allclose(rescaled_row_ces(t), 1.0, atol=1e-12)

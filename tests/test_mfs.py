@@ -402,7 +402,12 @@ def test_code_ids_threshold_and_format(planted):
 def test_size_guard_warns():
     ds = planted_dataset(seed=3, n=120)
     scheme = equal_width_bins(ds.y[ds.delta == 1], 6)
+    level, sub = subdivide(ds, categorize_features(ds), "V4")[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_mfs(ds, scheme, max_order=3)
-    assert any("unstable" in str(w.message) for w in caught)
+        run_mfs(sub, scheme, max_order=3)
+    messages = [str(w.message) for w in caught]
+    assert all("unstable" in m for m in messages)
+    assert any(m.startswith("whole sample: order-3") for m in messages)
+    assert any(m.startswith(f"V4={level}: order-3") for m in messages)

@@ -233,15 +233,3 @@ def test_empty_dataset_errors():
         km_estimate(ds)
     with pytest.raises(ValueError):
         build_weight_matrix(ds)
-
-
-def test_weight_matrix_csv_roundtrip(tmp_path, golden10):
-    W = build_weight_matrix(golden10)
-    path = tmp_path / "w.csv"
-    W.to_csv(path)
-    import csv
-
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    total = sum(float(r["weight"]) for r in rows)
-    assert total == pytest.approx(10.0, abs=1e-9)
