@@ -36,7 +36,9 @@ import sys
 import time
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
 
 from . import __version__
 from .binning import BinningScheme, equal_width_bins, explicit_bins, km_quantile_bins
@@ -52,6 +54,7 @@ from .mfs import (
     run_mfs,
     subdivide,
 )
+from .redistribution import binned_row_masses
 from .simgen import SimConfig, generate, write_dataset_csv
 
 
@@ -168,10 +171,11 @@ class Manifest:
         return path
 
     def write_rows(self, name: str | Path, rows: list[dict],
-                   fieldnames: list[str] | None = None) -> None:
+                   fieldnames: Sequence[str]) -> None:
+        """Write a report's rows under its fixed columns; an empty report
+        is a header-only file."""
         with open(self.file(name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=fieldnames or list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
             writer.writeheader()
             writer.writerows(rows)
 
@@ -223,7 +227,7 @@ def cmd_analyze(run: Manifest) -> None:
     if run.dataset.n_c and run.dataset.n_u:
         cmd_censor_test(run, Path("censor_test"))
     mce = mce_matrix(run.cats)
-    run.write_rows("mce_matrix.csv", mce.to_rows())
+    run.write_rows("mce_matrix.csv", mce.to_rows(), ["", *mce.names])
     run.write_rows("mce_edges.csv",
                    [{"a": a, "b": b, "mce": repr(m)} for a, b, m in mce.edges],
                    fieldnames=["a", "b", "mce"])
@@ -233,26 +237,32 @@ def cmd_analyze(run: Manifest) -> None:
 
 def cmd_mfs(run: Manifest, dataset: Dataset | None = None,
             cats: CategorizedFeatures | None = None, where: Path = Path(),
-            features: list[str] | None = None) -> None:
+            features: list[str] | None = None,
+            masses: np.ndarray | None = None) -> None:
     """Ranked feature sets (and the reliability null with
     ``--reliability``) of the whole sample, or of the sub-collection
-    ``dataset`` with its ``cats``, under ``where``."""
+    ``dataset`` with its ``cats``, under ``where``.  The ranking and the
+    null share one binned mass table, ``masses`` when given."""
     args = run.args
     if dataset is None:
         dataset, cats = run.dataset, run.cats
+    if masses is None:
+        masses, _ = binned_row_masses(dataset, run.scheme)
     reports = run_mfs(dataset, run.scheme, cats=cats, max_order=args.max_order,
-                      features=features)
+                      features=features, masses=masses)
     if args.reliability > 0:
         null = reliability_null(dataset, run.scheme, cats=cats,
                                 n_rep=args.reliability,
-                                n_bins=args.feature_bins, seed=args.seed)
+                                n_bins=args.feature_bins, seed=args.seed,
+                                masses=masses)
         for rec in reports[1].records:
             rec.reliability_p = null.p_value(rec.ce)
         run.write_rows(where / "reliability_null.csv",
                        [{"replicate": i + 1, "ce": repr(float(v))}
-                        for i, v in enumerate(null.ces)])
+                        for i, v in enumerate(null.ces)], ["replicate", "ce"])
     for order, report in reports.items():
-        run.write_rows(where / f"mfs_order{order}.csv", report.to_rows())
+        run.write_rows(where / f"mfs_order{order}.csv", report.to_rows(),
+                       report.COLUMNS)
         run.write_json(where / f"mfs_order{order}.json",
                        report.to_json_dict())
 
@@ -263,11 +273,14 @@ def cmd_subdivide(run: Manifest) -> None:
     for level, sub in subdivide(run.dataset, run.cats, feature):
         where = Path(f"{feature}={level}")
         cats = run.categorize(sub)
-        cmd_mfs(run, sub, cats, where, features=rest)
+        masses, _ = binned_row_masses(sub, run.scheme)
+        cmd_mfs(run, sub, cats, where, features=rest, masses=masses)
         if run.args.expand:
             base, extensions = run.args.expand
-            exp = ce_expansion(sub, run.scheme, cats, base, extensions)
-            run.write_rows(where / "ce_expansion.csv", exp.to_rows())
+            exp = ce_expansion(sub, run.scheme, cats, base, extensions,
+                               masses=masses)
+            run.write_rows(where / "ce_expansion.csv", exp.to_rows(),
+                           exp.COLUMNS)
 
 
 def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:
@@ -282,7 +295,7 @@ def cmd_cox(run: Manifest) -> str:
     converge."""
     fitres = cox_fit(run.dataset, features=vars(run.args).get("features"))
     rows = fitres.summary_rows()
-    run.write_rows("cox.csv", rows)
+    run.write_rows("cox.csv", rows, fitres.COLUMNS)
     run.write_json("cox.json", {"converged": fitres.converged,
                                 "iterations": fitres.iterations,
                                 "loglik": fitres.loglik,

@@ -100,19 +100,18 @@ def _compact(codes) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present) + lo, rank[shifted]
 
 
-def fuse_categories(cat_vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
-    """Fuse parallel ordinal vectors into one composite categorical variable.
+def _fuse_codes(cat_vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Fuse parallel ordinal vectors into 0-based composite codes.
 
-    Each distinct tuple of codes becomes one composite category; only
-    observed tuples are materialized.  Returns 1-based composite codes plus
-    the tuple label for each composite level.  Codes must be integral
-    (``ValueError`` otherwise).
+    Each distinct tuple of codes becomes one composite code; only observed
+    tuples get one, so the codes are ``0..L-1`` for ``L`` observed tuples.
+    Codes must be integral (``ValueError`` otherwise).
 
     Vectors are fused left to right as mixed-radix codes: the composite so far
     times the next vector's observed level count, plus its level index,
     compacted after each step so the code never exceeds n squared.  Ascending
-    mixed-radix order is the lexicographic order of the label tuples, so
-    levels and codes match ``np.unique(np.stack(cat_vectors, 1), axis=0)``.
+    mixed-radix order is the lexicographic order of the tuples, so the codes
+    match the inverse of ``np.unique(np.stack(cat_vectors, 1), axis=0)``.
     """
     if len(cat_vectors) == 0:
         raise ValueError("need at least one category vector")
@@ -120,13 +119,27 @@ def fuse_categories(cat_vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, list
     n = arrs[0].shape[0]
     if any(a.shape != (n,) for a in arrs):
         raise ValueError("category vectors must have equal lengths")
-    values, composite = _compact(arrs[0])
-    levels = values[:, None]
+    _, composite = _compact(arrs[0])
     for v in arrs[1:]:
         values, index = _compact(v)
-        observed, composite = _compact(composite * values.size + index)
-        levels = np.column_stack([levels[observed // values.size],
-                                  values[observed % values.size]])
+        _, composite = _compact(composite * values.size + index)
+    return composite
+
+
+def fuse_categories(cat_vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
+    """Fuse parallel ordinal vectors into one composite categorical variable.
+
+    Returns the 1-based codes of :func:`_fuse_codes` plus the tuple label of
+    each composite level, in code order: the lexicographic order of the
+    observed tuples, as ``np.unique(np.stack(cat_vectors, 1), axis=0)``
+    lists them.
+    """
+    composite = _fuse_codes(cat_vectors)
+    some_row = np.empty(composite.max() + 1 if composite.size else 0,
+                        dtype=np.int64)
+    some_row[composite] = np.arange(composite.size)
+    levels = np.stack([np.asarray(v)[some_row].astype(np.int64)
+                       for v in cat_vectors], axis=1)
     return composite + 1, [tuple(row) for row in levels.tolist()]
 
 

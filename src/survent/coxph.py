@@ -33,16 +33,15 @@ class CoxFit:
     singular: bool = False
     message: str = ""
 
+    COLUMNS = ("feature", "beta", "se", "p")
+
     def summary_rows(self) -> list[dict]:
-        rows = []
-        for j, name in enumerate(self.features):
-            rows.append({
-                "feature": name,
-                "beta": float(self.beta[j]),
-                "se": None if not np.isfinite(self.se[j]) else float(self.se[j]),
-                "p": None if not np.isfinite(self.wald_p[j]) else float(self.wald_p[j]),
-            })
-        return rows
+        return [dict(zip(self.COLUMNS, (
+                    name, float(self.beta[j]),
+                    None if not np.isfinite(self.se[j]) else float(self.se[j]),
+                    None if not np.isfinite(self.wald_p[j])
+                    else float(self.wald_p[j]))))
+                for j, name in enumerate(self.features)]
 
     def p_for(self, feature: str) -> float:
         return float(self.wald_p[self.features.index(feature)])

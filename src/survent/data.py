@@ -10,12 +10,14 @@ covariate vector.  Everything downstream consumes the immutable
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 
 class ConfigError(ValueError):
@@ -264,14 +266,14 @@ class Dataset:
         return out
 
     def to_csv(self, path: str | Path) -> None:
+        """Write ``id, time, status, features...``, floats as their shortest
+        ``repr``; each column is formatted once and the rows zipped."""
+        columns = [self.ids, map(repr, self.y.tolist()), self.delta.tolist(),
+                   *(map(repr, col.tolist()) for col in self.X.T)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "time", "status", *self.feature_names])
-            for i in range(self.n):
-                writer.writerow(
-                    [self.ids[i], repr(float(self.y[i])), int(self.delta[i]),
-                     *(repr(float(v)) for v in self.X[i])]
-                )
+            writer.writerows(zip(*columns))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Dataset(n={self.n}, events={self.n_u}, censored={self.n_c}, "
@@ -288,6 +290,31 @@ def _parse_cell(text: str, column: str, row: int) -> float:
         ) from None
 
 
+# rows read, transposed and parsed at once by ingest_csv: bounds its memory
+_CHUNK_ROWS = 256
+
+
+def _parse_column(cells: tuple[str, ...], column: str, first_row: int,
+                  status: bool = False) -> np.ndarray:
+    """Float values of one column of a chunk whose first row is
+    ``first_row``.  Raises the :class:`ParseError` of the column's first bad
+    cell; with ``status``, a parsed value other than 0 or 1 is bad too."""
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        pass  # the scan below finds the cell
+    else:
+        if not status or np.all((values == 0) | (values == 1)):
+            return values
+    for row, text in enumerate(cells, start=first_row):
+        value = _parse_cell(text, column, row)
+        if status and value not in (0.0, 1.0):
+            raise ParseError(
+                f"status must be 0 or 1, got {value!r} at data row {row}",
+                row=row)
+    raise AssertionError("unreachable: the column has a bad cell")
+
+
 def ingest_csv(path: str | Path, config: ColumnConfig | Mapping | str | Path) -> Dataset:
     """Read a CSV file (RFC-4180, UTF-8, header row required) into a Dataset.
 
@@ -295,55 +322,79 @@ def ingest_csv(path: str | Path, config: ColumnConfig | Mapping | str | Path) ->
     :class:`ColumnConfig`, a dict, or a path to a JSON config file).  Rows
     with missing values in any selected column are rejected, listing the
     offending rows; incomplete subjects must be resolved upstream.
+
+    The file is streamed in chunks of 256 rows, each transposed into its
+    columns, so memory is O(chunk + n * columns) rather than a string per
+    cell.  Each numeric column of a chunk is parsed at once with
+    ``float``; the ids are held as numpy strings until the end.  Errors are
+    those of a row-by-row read: a :class:`MissingValueError` listing every
+    row with an empty or absent selected cell (short rows included) wins
+    over any :class:`ParseError`, which names the first bad row and, within
+    it, the first bad cell in the order time, status (unparsable, then not
+    0 or 1), features.
     """
     if isinstance(config, (str, Path)):
         config = ColumnConfig.from_json(config)
     elif not isinstance(config, ColumnConfig):
         config = ColumnConfig.from_dict(config)
 
+    fields = [config.time, config.status, *config.features]
+    wanted = fields + ([config.id] if config.id is not None else [])
+    missing: list[int] = []
+    error: ParseError | None = None
+    # per chunk: the (fields, rows) values and the ids
+    blocks = [np.empty((len(fields), 0))]
+    id_blocks = [np.array([], dtype=StringDType())]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file: no header row") from None
-        rows = list(reader)
-
-    colidx: dict[str, int] = {name: i for i, name in enumerate(header)}
-    wanted = [config.time, config.status, *config.features]
-    if config.id is not None:
-        wanted.append(config.id)
-    for name in wanted:
-        if name not in colidx:
-            raise ConfigError(f"column {name!r} not found in {path}")
-
-    missing_rows = []
-    for r, row in enumerate(rows, start=1):
+        colidx: dict[str, int] = {name: i for i, name in enumerate(header)}
         for name in wanted:
-            i = colidx[name]
-            if i >= len(row) or row[i].strip() == "":
-                missing_rows.append(r)
-                break
-    if missing_rows:
-        raise MissingValueError(missing_rows)
+            if name not in colidx:
+                raise ConfigError(f"column {name!r} not found in {path}")
+        cols = [colidx[name] for name in wanted]
+        width = max(cols) + 1
+        first_row = 1
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            if min(map(len, chunk)) < width:  # absent cells count as empty
+                chunk = [row + [""] * (width - len(row)) for row in chunk]
+            columns = list(zip(*chunk))
+            selected = [columns[i] for i in cols]
+            gaps = sorted({first_row + r for col in selected
+                           if not all(map(str.strip, col))
+                           for r, text in enumerate(col) if not text.strip()})
+            if gaps:
+                missing += gaps
+            elif not missing and error is None:
+                parsed, errors = [], []
+                for j, (name, col) in enumerate(zip(fields, selected)):
+                    try:
+                        parsed.append(_parse_column(col, name, first_row,
+                                                    status=j == 1))
+                    except ParseError as exc:
+                        errors.append(exc)
+                if errors:  # the first bad row; at a tie, the first field
+                    error = min(errors, key=lambda exc: exc.row)
+                else:
+                    blocks.append(np.stack(parsed))
+                    if config.id is not None:
+                        id_blocks.append(np.array(selected[-1],
+                                                  dtype=StringDType()))
+            first_row += len(chunk)
+    if missing:
+        raise MissingValueError(missing)
+    if error is not None:
+        raise error
 
-    n = len(rows)
-    y = np.empty(n)
-    delta = np.empty(n, dtype=np.int8)
-    X = np.empty((n, len(config.features)))
-    ids = []
-    for r, row in enumerate(rows, start=1):
-        y[r - 1] = _parse_cell(row[colidx[config.time]], config.time, r)
-        sval = _parse_cell(row[colidx[config.status]], config.status, r)
-        if sval not in (0.0, 1.0):
-            raise ParseError(
-                f"status must be 0 or 1, got {sval!r} at data row {r}", row=r
-            )
-        delta[r - 1] = int(sval)
-        for j, fname in enumerate(config.features):
-            X[r - 1, j] = _parse_cell(row[colidx[fname]], fname, r)
-        ids.append(row[colidx[config.id]] if config.id is not None else str(r - 1))
-
+    values = np.concatenate(blocks, axis=1)
+    del blocks  # the arrays below are copies, so values is dropped too
+    y, delta = values[0].copy(), values[1].astype(np.int8)
+    X = values[2:].T.copy()
+    del values
+    ids = np.concatenate(id_blocks).tolist() if config.id is not None else None
     kinds = None
     if config.kinds:
         kinds = [config.kinds.get(f, "continuous") for f in config.features]

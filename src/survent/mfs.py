@@ -28,6 +28,7 @@ from .binning import BinningScheme, DegenerateRangeError, categorize, equal_widt
 from .contingency import (
     ContingencyTable,
     _compact,
+    _fuse_codes,
     fuse_categories,
     table_from_binned,
     table_plain,
@@ -126,6 +127,9 @@ class MFSReport:
     n: int
     n_u: int
 
+    COLUMNS = ("features", "ce", "ce_drop", "sce_drop", "ecological",
+               "ecological_flag", "interacting", "reliability_p")
+
     def record_for(self, features: Sequence[str]) -> AssociationRecord:
         key = tuple(sorted(features))
         for rec in self.records:
@@ -134,19 +138,11 @@ class MFSReport:
         raise KeyError(f"no record for feature set {features!r}")
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for rec in self.records:
-            rows.append({
-                "features": rec.label,
-                "ce": rec.ce,
-                "ce_drop": rec.ce_drop,
-                "sce_drop": rec.sce_drop,
-                "ecological": rec.ecological,
-                "ecological_flag": rec.ecological_flag,
-                "interacting": rec.interacting,
-                "reliability_p": rec.reliability_p,
-            })
-        return rows
+        return [dict(zip(self.COLUMNS, (
+                    rec.label, rec.ce, rec.ce_drop, rec.sce_drop,
+                    rec.ecological, rec.ecological_flag, rec.interacting,
+                    rec.reliability_p)))
+                for rec in self.records]
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,7 +159,8 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             cats: CategorizedFeatures | None = None,
             max_order: int = 2,
             features: Sequence[str] | None = None,
-            n_bins: int = 4) -> dict[int, MFSReport]:
+            n_bins: int = 4,
+            masses: np.ndarray | None = None) -> dict[int, MFSReport]:
     """Evaluate all feature sets up to ``max_order`` and rank them.
 
     Orders above 3 are rejected: with composite categories multiplying per
@@ -174,52 +171,42 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     a tenth of the events raises a ``UserWarning`` naming the dataset's
     ``subcollection`` tag (or "whole sample"); a set is called
     interacting by :func:`interacting_flag` with its default factor 3.
+
+    ``masses`` is the collection's :func:`binned_row_masses` table under
+    ``time_scheme``, built here when omitted.  Feature sets are streamed:
+    sets of two or three are fused to bare composite codes, only the
+    order-1 tables are kept, each order-2 table serves its pair's
+    conditional mutual information and is dropped, and order-3 tables are
+    never kept, so memory is O(n * k) whatever the number of sets.
     """
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be 1, 2 or 3")
     if cats is None:
         cats = categorize_features(dataset, n_bins=n_bins)
     names = list(features) if features is not None else list(cats.names)
-    B, _ = binned_row_masses(dataset, time_scheme)
-    h_response = _entropy_of_counts(B.sum(axis=0))
+    if masses is None:
+        masses, _ = binned_row_masses(dataset, time_scheme)
+    h_response = _entropy_of_counts(masses.sum(axis=0))
 
     code_of = {f: cats.column(f) for f in names}
-    tables: dict[tuple[str, ...], ContingencyTable] = {}
+    singles: dict[str, ContingencyTable] = {}
     ces: dict[tuple[str, ...], float] = {}
     drops: dict[tuple[str, ...], float] = {}
-
-    def evaluate(fset: tuple[str, ...]) -> tuple[tuple[str, ...], ContingencyTable, float]:
-        if len(fset) == 1:
-            fused = code_of[fset[0]]
-            labels = None
-        else:
-            fused, labels = fuse_categories([code_of[f] for f in fset])
-        table = table_from_binned(B, fused, row_labels=labels)
-        ce, _ = conditional_entropy(table)
-        return fset, table, ce
-
     reports: dict[int, MFSReport] = {}
     for order in range(1, max_order + 1):
-        sets = [tuple(c) for c in itertools.combinations(names, order)]
-        results = [evaluate(s) for s in sets]
-
-        worst = max((r[1].cells.shape[0] for r in results), default=0)
-        if dataset.n_u < 10 * worst:
-            warnings.warn(
-                f"{dataset.meta.get('subcollection') or 'whole sample'}: "
-                f"order-{order} composite categories reach {worst} levels "
-                f"with only {dataset.n_u} events; plug-in conditional "
-                "entropies may be unstable",
-                stacklevel=2,
-            )
-
         records = []
-        for fset, table, ce in results:
-            tables[fset] = table
+        worst = 0
+        for fset in itertools.combinations(names, order):
+            fused = (code_of[fset[0]] if order == 1
+                     else _fuse_codes([code_of[f] for f in fset]))
+            table = table_from_binned(masses, fused)
+            worst = max(worst, table.cells.shape[0])
+            ce, _ = conditional_entropy(table)
             ces[fset] = ce
             drop = h_response - ce
             drops[fset] = drop
             if order == 1:
+                singles[fset[0]] = table
                 rec = AssociationRecord(fset, ce, drop, sce_drop=drop)
             elif order == 2:
                 a, b = fset
@@ -228,7 +215,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
                 i_ab = mutual_information(
                     table_plain(code_of[a], code_of[b]))
                 i_ab_y = conditional_mutual_information(
-                    tables[(a,)], tables[(b,)], table)
+                    singles[a], singles[b], table)
                 eco, eco_flag = ecological_effect(i_ab_y, i_ab)
                 rec = AssociationRecord(
                     fset, ce, drop, sce,
@@ -250,6 +237,15 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
                                                  eco_flag),
                 )
             records.append(rec)
+
+        if dataset.n_u < 10 * worst:
+            warnings.warn(
+                f"{dataset.meta.get('subcollection') or 'whole sample'}: "
+                f"order-{order} composite categories reach {worst} levels "
+                f"with only {dataset.n_u} events; plug-in conditional "
+                "entropies may be unstable",
+                stacklevel=2,
+            )
         records.sort(key=lambda r: (r.ce, r.features))
         reports[order] = MFSReport(order, records, h_response,
                                    dataset.meta.get("subcollection", ""),
@@ -281,7 +277,8 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
                      anchor_set: Sequence[str] = (),
                      n_rep: int = 200,
                      n_bins: int = 4,
-                     seed: int = 0) -> ReliabilityNull:
+                     seed: int = 0,
+                     masses: np.ndarray | None = None) -> ReliabilityNull:
     """Null CE distribution from ``n_rep`` synthetic uniform features.
 
     Each replicate draws a fresh Uniform[0, 1] feature, bins it like a real
@@ -289,7 +286,8 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     fuses it with the anchor features, and evaluates the conditional entropy
     on the same weight structure as the observed analysis.  Replicate ``i``
     owns the RNG substream spawned at index ``i``, so results do not depend
-    on execution order.
+    on execution order.  ``masses`` is the collection's
+    :func:`binned_row_masses` table, built here when omitted.
 
     Replicates run in blocks of ``max(1, 2**15 // n)``, so a block's draws
     fill at most 2**15 elements (one replicate when n is larger).  Within a
@@ -308,17 +306,17 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     if anchor_set:
         if cats is None:
             cats = categorize_features(dataset, n_bins=n_bins)
-        anchor, levels = fuse_categories([cats.column(f) for f in anchor_set])
-        anchor = anchor - 1
-        n_anchor = len(levels)
+        anchor = _fuse_codes([cats.column(f) for f in anchor_set])
+        n_anchor = int(anchor.max()) + 1
     else:
         anchor = np.zeros(n, dtype=np.int64)
         n_anchor = 1
-    B, _ = binned_row_masses(dataset, time_scheme)
+    if masses is None:
+        masses, _ = binned_row_masses(dataset, time_scheme)
     streams = np.random.SeedSequence(seed).spawn(n_rep)
     block = min(n_rep, max(1, _NULL_BLOCK_ELEMENTS // n))
     noise = np.empty((block, n))
-    masses = np.tile(B.T, (1, block))  # row t: B[:, t] once per replicate
+    tiled = np.tile(masses.T, (1, block))  # row t: masses[:, t] once per replicate
     out = np.empty(n_rep)
     for first in range(0, n_rep, block):
         r = min(block, n_rep - first)
@@ -340,7 +338,7 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
         cell_codes, index = _compact((codes * n_anchor + anchor).ravel())
         cells = np.stack([np.bincount(index, weights=m[:r * n],
                                       minlength=cell_codes.size)
-                          for m in masses], axis=1)
+                          for m in tiled], axis=1)
         mass = cells.sum(axis=1)
         rep = cell_codes // (n_bins * n_anchor)
         out[first:first + r] = (
@@ -447,30 +445,35 @@ class CEExpansion:
     h_response: float
     dots: list[ExpansionDot]
 
+    COLUMNS = ("series", "category", "rescaled_ce", "raw_ce", "mass",
+               "dominant_response")
+
     def series(self, name: str) -> list[ExpansionDot]:
         return [d for d in self.dots if d.series == name]
 
     def to_rows(self) -> list[dict]:
-        return [{"series": d.series,
-                 "category": "_".join(map(str, d.category)),
-                 "rescaled_ce": d.rescaled_ce, "raw_ce": d.raw_ce,
-                 "mass": d.mass, "dominant_response": d.dominant_response}
+        return [dict(zip(self.COLUMNS, (
+                    d.series, "_".join(map(str, d.category)), d.rescaled_ce,
+                    d.raw_ce, d.mass, d.dominant_response)))
                 for d in self.dots]
 
 
 def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
                  cats: CategorizedFeatures, base: str,
-                 extensions: Sequence[str | Sequence[str]] = ()) -> CEExpansion:
+                 extensions: Sequence[str | Sequence[str]] = (),
+                 masses: np.ndarray | None = None) -> CEExpansion:
     """Per-category rescaled conditional entropies for a base feature and
     its refinements, within one (sub-)collection.
 
     Every category of ``base``, and every observed composite category of
     ``(base, extension...)``, contributes a dot: the row's entropy divided
     by the response's marginal entropy in this collection, together with
-    the row mass and the dominant response category.
+    the row mass and the dominant response category.  ``masses`` is the
+    collection's :func:`binned_row_masses` table, built here when omitted.
     """
-    B, _ = binned_row_masses(dataset, time_scheme)
-    h_resp = _entropy_of_counts(B.sum(axis=0))
+    if masses is None:
+        masses, _ = binned_row_masses(dataset, time_scheme)
+    h_resp = _entropy_of_counts(masses.sum(axis=0))
     if h_resp <= 0:
         raise ValueError("response has zero entropy in this collection")
     dots: list[ExpansionDot] = []
@@ -480,12 +483,12 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
 
     def add_series(series_feats: tuple[str, ...]) -> None:
         codes, labels = fuse_categories([cats.column(f) for f in series_feats])
-        table = table_from_binned(B, codes, row_labels=labels)
+        table = table_from_binned(masses, codes, row_labels=labels)
         _, per_row = conditional_entropy(table)
-        masses = table.row_sums()
+        row_mass = table.row_sums()
         name = "_".join(series_feats)
         for i, lab in enumerate(table.row_labels):
-            if masses[i] <= 0:
+            if row_mass[i] <= 0:
                 continue
             dominant = int(np.argmax(table.cells[i])) + 1
             dots.append(ExpansionDot(
@@ -493,7 +496,7 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
                 category=tuple(lab),
                 rescaled_ce=float(per_row[i] / h_resp),
                 raw_ce=float(per_row[i]),
-                mass=float(masses[i]),
+                mass=float(row_mass[i]),
                 dominant_response=dominant,
             ))
 

@@ -374,3 +374,29 @@ def test_reports_match_csv_writer(sim_files, tmp_path):
                                  repr(d.mass), d.dominant_response])
         path = outdir / f"V9={level}" / "ce_expansion.csv"
         assert path.read_bytes() == expected.read_bytes(), level
+
+
+@pytest.mark.parametrize("command, empty", [
+    (["mfs", "--max-order", "3"], "mfs_order3.csv"),
+    (["subdivide", "--subdivide", "V1", "--max-order", "2"],
+     "V1=1/mfs_order2.csv"),
+])
+def test_empty_report_is_header_only(sim_files, tmp_path, command, empty):
+    """With two features there are no triplets, and a sub-collection split
+    on V1 has no pairs: those reports are header-only, and the run exits 0."""
+    data, config = sim_files
+    cfg = json.loads(config.read_text())
+    cfg["features"] = ["V1", "V2"]
+    config2 = tmp_path / "two.json"
+    config2.write_text(json.dumps(cfg))
+    outdir = tmp_path / "out"
+    rc = main([command[0], "--input", str(data), "--config", str(config2),
+               "--outdir", str(outdir), *command[1:]])
+    assert rc == 0
+    assert (outdir / empty).read_bytes() == (
+        b"features,ce,ce_drop,sce_drop,ecological,ecological_flag,"
+        b"interacting,reliability_p\r\n")
+    assert json.loads((outdir / empty).with_suffix(".json").read_text()
+                      )["records"] == []
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert str(outdir / empty) in manifest["outputs"]

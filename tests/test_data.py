@@ -92,6 +92,25 @@ def test_roundtrip_reingest_identical(tmp_path, tiny_csv):
     assert ds.ids == again.ids
 
 
+def test_to_csv_matches_row_writer(tmp_path):
+    """The column-wise writer's bytes are those of one ``writerow`` per
+    record with shortest-repr floats."""
+    import csv
+
+    from survent import SimConfig, generate
+
+    ds = generate(SimConfig(n=500, censor_target=0.3, seed=3))
+    ds.to_csv(tmp_path / "cols.csv")
+    with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "time", "status", *ds.feature_names])
+        for i in range(ds.n):
+            writer.writerow([ds.ids[i], repr(float(ds.y[i])), int(ds.delta[i]),
+                             *(repr(float(v)) for v in ds.X[i])])
+    assert ((tmp_path / "cols.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(y=[1.0, -2.0], delta=[1, 0])

@@ -1,0 +1,54 @@
+"""Working-memory bounds of the streamed layers at n = 10^4, measured with
+tracemalloc (numpy reports its buffers to it)."""
+
+from __future__ import annotations
+
+import tracemalloc
+import warnings
+
+import pytest
+
+from survent import (
+    SimConfig,
+    categorize_features,
+    equal_width_bins,
+    generate,
+    ingest_csv,
+    run_mfs,
+)
+
+MiB = 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def sample():
+    return generate(SimConfig(n=10_000, censor_target=0.2, seed=0))
+
+
+def traced_peak(fn, *args, **kwargs) -> float:
+    """Peak bytes allocated while ``fn`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_csv_peak_is_linear_not_per_cell(sample, tmp_path):
+    # one string per cell held at once would be about 11 MiB here
+    path = tmp_path / "data.csv"
+    sample.to_csv(path)
+    config = {"time": "time", "status": "status", "id": "id",
+              "features": list(sample.feature_names)}
+    assert traced_peak(ingest_csv, path, config) < 5 * MiB
+
+
+def test_run_mfs_peak_keeps_no_composite_tables(sample):
+    # keeping every order <= 3 table with its labels was about 20 MiB here
+    scheme = equal_width_bins(sample.y, 10)
+    cats = categorize_features(sample, n_bins=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # order-3 size guard
+        peak = traced_peak(run_mfs, sample, scheme, cats=cats, max_order=3)
+    assert peak < 5 * MiB
