@@ -247,7 +247,7 @@ def cmd_mfs(run: Manifest, dataset: Dataset | None = None,
     if dataset is None:
         dataset, cats = run.dataset, run.cats
     if masses is None:
-        masses, _ = binned_row_masses(dataset, run.scheme)
+        masses, _ = binned_row_masses(dataset.y, dataset.delta, run.scheme)
     reports = run_mfs(dataset, run.scheme, cats=cats, max_order=args.max_order,
                       features=features, masses=masses)
     if args.reliability > 0:
@@ -273,7 +273,7 @@ def cmd_subdivide(run: Manifest) -> None:
     for level, sub in subdivide(run.dataset, run.cats, feature):
         where = Path(f"{feature}={level}")
         cats = run.categorize(sub)
-        masses, _ = binned_row_masses(sub, run.scheme)
+        masses, _ = binned_row_masses(sub.y, sub.delta, run.scheme)
         cmd_mfs(run, sub, cats, where, features=rest, masses=masses)
         if run.args.expand:
             base, extensions = run.args.expand

@@ -6,9 +6,10 @@ censored subject's unit mass fractionally over event-time columns.  Only
 observed (composite) categories get rows; empty categories would carry zero
 mass and contribute nothing to conditional entropy anyway.
 
-One table kernel serves every table: :func:`_compact` maps integer codes to
-0-based indices over their observed values without sorting, and the cells
-are one ``bincount`` over the resulting row-major cell index.
+:func:`_compact` maps integer codes to 0-based indices over their observed
+values without sorting.  Every weighted cell comes from one kernel,
+:func:`_mass_cells`: a ``bincount`` per time bin over the (k, n) mass rows
+of :func:`binned_row_masses`; plain tables bincount a row-major cell index.
 """
 
 from __future__ import annotations
@@ -157,25 +158,29 @@ def table_plain(x_cats: np.ndarray, y_cats: np.ndarray) -> ContingencyTable:
                             cells.reshape(ux.size, uy.size))
 
 
-def table_from_binned(binned: np.ndarray, row_cats: np.ndarray,
-                      row_labels: Sequence[Hashable] | None = None) -> ContingencyTable:
-    """Weighted table from per-subject binned masses (n x k) and row codes.
+def _mass_cells(index: np.ndarray, masses: np.ndarray, size: int) -> np.ndarray:
+    """Cells (size, k): cell (r, b) sums ``masses[b, i]`` over the subjects
+    ``i`` with ``index[i] == r``, in subject order; ``masses`` is (k, n)."""
+    return np.stack([np.bincount(index, weights=m, minlength=size)
+                     for m in masses], axis=1)
 
-    ``binned[i, b]`` is the redistributed mass of subject ``i`` in time bin
-    ``b``, as returned by :func:`binned_row_masses`; columns are labelled
-    1..k.
+
+def table_from_binned(masses: np.ndarray, row_cats: np.ndarray,
+                      row_labels: Sequence[Hashable] | None = None) -> ContingencyTable:
+    """Weighted table from binned masses (k x n) and row codes.
+
+    ``masses[b, i]`` is the redistributed mass of subject ``i`` in time bin
+    ``b``, as returned by :func:`binned_row_masses`; rows are the observed
+    codes, columns are labelled 1..k.
     """
-    B = np.asarray(binned, dtype=float)
+    M = np.asarray(masses, dtype=float)
     cats = np.asarray(row_cats)
-    if cats.shape[0] != B.shape[0]:
-        raise ValueError("row_cats must align with binned rows")
+    if cats.shape[0] != M.shape[1]:
+        raise ValueError("row_cats must align with the mass columns")
     uniq, inv = _compact(cats)
-    k = B.shape[1]
-    flat = inv[:, None] * k + np.arange(k)[None, :]
-    cells = np.bincount(flat.ravel(), weights=B.ravel(),
-                        minlength=uniq.size * k).reshape(uniq.size, k)
+    cells = _mass_cells(inv, M, uniq.size)
     rl = tuple(row_labels) if row_labels is not None else tuple(uniq.tolist())
-    return ContingencyTable(rl, tuple(range(1, k + 1)), cells)
+    return ContingencyTable(rl, tuple(range(1, M.shape[0] + 1)), cells)
 
 
 def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
@@ -196,13 +201,9 @@ def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
     if cats.shape[0] != W.weights.shape[0]:
         raise ValueError("row_cats length must equal the weight-matrix row count")
     col_bin, _ = categorize(W.col_times, time_scheme)
-    k = time_scheme.nbins
-    binned = np.zeros((W.weights.shape[0], k))
-    for b in range(1, k + 1):
-        sel = col_bin == b
-        if sel.any():
-            binned[:, b - 1] = W.weights[:, sel].sum(axis=1)
-    return table_from_binned(binned, cats, row_labels=row_labels)
+    masses = np.stack([W.weights[:, col_bin == b].sum(axis=1)
+                       for b in range(1, time_scheme.nbins + 1)])
+    return table_from_binned(masses, cats, row_labels=row_labels)
 
 
 def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
@@ -215,9 +216,10 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
     and is transposed so its rows are censoring-time bins as well.  Returns
     ``(summed, censored_part, event_part_transposed)``.
 
-    Both addends come from :func:`binned_row_masses`, on the sample with any
-    promotion undone and on its status-flipped copy; each kept row lands in
-    the row of its own time bin.  This equals the cascade tables of
+    Each addend is one :func:`_mass_cells` table of the rows censored under
+    a status vector (the observed one with promotion undone, or its flip),
+    indexed by their own time bin, on :func:`binned_row_masses` under that
+    vector.  This equals the cascade tables of
     :func:`build_cross_weight_matrix` without the O(n_c * n) matrices.
     """
     orig = dataset.original_delta()
@@ -229,11 +231,9 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
 
     def own_bin_grid(delta: np.ndarray) -> np.ndarray:
         """Masses of the rows censored under ``delta``, by their own bin."""
-        B, _ = binned_row_masses(Dataset(y=dataset.y, delta=delta), time_scheme)
+        M, _ = binned_row_masses(dataset.y, delta, time_scheme)
         keep = delta == 0
-        cells = np.zeros((k, k))
-        np.add.at(cells, own_bin[keep] - 1, B[keep])
-        return cells
+        return _mass_cells(own_bin[keep] - 1, M[:, keep], k)
 
     c_cells = own_bin_grid(orig)
     t_cells = own_bin_grid(1 - orig).T  # rows become censoring bins

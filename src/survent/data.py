@@ -101,6 +101,11 @@ class ColumnConfig:
         return out
 
 
+def _trailing_censored(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Censored rows at the largest time, in descending row order."""
+    return np.flatnonzero((delta == 0) & (y == y.max()))[::-1]
+
+
 class Dataset:
     """Immutable columnar sample of survival records.
 
@@ -236,8 +241,7 @@ class Dataset:
         """
         if self.n == 0:
             raise ValueError("empty dataset")
-        promoted = np.flatnonzero((self.delta == 0)
-                                  & (self.y == self.y.max()))[::-1].tolist()
+        promoted = _trailing_censored(self.y, self.delta).tolist()
         if not promoted:
             return self
         delta = np.array(self.delta)

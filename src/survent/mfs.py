@@ -29,6 +29,7 @@ from .contingency import (
     ContingencyTable,
     _compact,
     _fuse_codes,
+    _mass_cells,
     fuse_categories,
     table_from_binned,
     table_plain,
@@ -172,8 +173,9 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     ``subcollection`` tag (or "whole sample"); a set is called
     interacting by :func:`interacting_flag` with its default factor 3.
 
-    ``masses`` is the collection's :func:`binned_row_masses` table under
-    ``time_scheme``, built here when omitted.  Feature sets are streamed:
+    ``masses`` is the collection's (k, n) :func:`binned_row_masses` layout
+    under ``time_scheme``, built here when omitted; the response margin is
+    its one-row table.  Feature sets are streamed:
     sets of two or three are fused to bare composite codes, only the
     order-1 tables are kept, each order-2 table serves its pair's
     conditional mutual information and is dropped, and order-3 tables are
@@ -185,8 +187,9 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
         cats = categorize_features(dataset, n_bins=n_bins)
     names = list(features) if features is not None else list(cats.names)
     if masses is None:
-        masses, _ = binned_row_masses(dataset, time_scheme)
-    h_response = _entropy_of_counts(masses.sum(axis=0))
+        masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
+    h_response = _entropy_of_counts(
+        _mass_cells(np.zeros(dataset.n, np.int64), masses, 1)[0])
 
     code_of = {f: cats.column(f) for f in names}
     singles: dict[str, ContingencyTable] = {}
@@ -286,16 +289,17 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     fuses it with the anchor features, and evaluates the conditional entropy
     on the same weight structure as the observed analysis.  Replicate ``i``
     owns the RNG substream spawned at index ``i``, so results do not depend
-    on execution order.  ``masses`` is the collection's
-    :func:`binned_row_masses` table, built here when omitted.
+    on execution order.  ``masses`` is the collection's (k, n)
+    :func:`binned_row_masses` layout, built here when omitted.
 
     Replicates run in blocks of ``max(1, 2**15 // n)``, so a block's draws
     fill at most 2**15 elements (one replicate when n is larger).  Within a
     block every (replicate, noise bin, anchor level) triple is one integer
-    code; one compaction and one ``bincount`` per time bin build all the
-    block's tables at once, and each replicate's CE is the mass-weighted
-    mean of its rows' entropies.  The edges and codes are those of
-    :func:`equal_width_bins` and :func:`categorize` on each replicate alone.
+    code; one compaction and one :func:`_mass_cells` table over the masses
+    tiled once per replicate build all the block's tables at once, and each
+    replicate's CE is the mass-weighted mean of its rows' entropies.  The
+    edges and codes are those of :func:`equal_width_bins` and
+    :func:`categorize` on each replicate alone.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
@@ -312,11 +316,11 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
         anchor = np.zeros(n, dtype=np.int64)
         n_anchor = 1
     if masses is None:
-        masses, _ = binned_row_masses(dataset, time_scheme)
+        masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
     streams = np.random.SeedSequence(seed).spawn(n_rep)
     block = min(n_rep, max(1, _NULL_BLOCK_ELEMENTS // n))
     noise = np.empty((block, n))
-    tiled = np.tile(masses.T, (1, block))  # row t: masses[:, t] once per replicate
+    tiled = np.tile(masses, (1, block))  # row b: masses[b] once per replicate
     out = np.empty(n_rep)
     for first in range(0, n_rep, block):
         r = min(block, n_rep - first)
@@ -336,9 +340,7 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
         np.clip(codes, 1, n_bins, out=codes)
         codes += np.arange(r)[:, None] * n_bins - 1
         cell_codes, index = _compact((codes * n_anchor + anchor).ravel())
-        cells = np.stack([np.bincount(index, weights=m[:r * n],
-                                      minlength=cell_codes.size)
-                          for m in tiled], axis=1)
+        cells = _mass_cells(index, tiled[:, :r * n], cell_codes.size)
         mass = cells.sum(axis=1)
         rep = cell_codes // (n_bins * n_anchor)
         out[first:first + r] = (
@@ -469,11 +471,13 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
     ``(base, extension...)``, contributes a dot: the row's entropy divided
     by the response's marginal entropy in this collection, together with
     the row mass and the dominant response category.  ``masses`` is the
-    collection's :func:`binned_row_masses` table, built here when omitted.
+    collection's (k, n) :func:`binned_row_masses` layout, built here when
+    omitted; the response margin is its one-row table.
     """
     if masses is None:
-        masses, _ = binned_row_masses(dataset, time_scheme)
-    h_resp = _entropy_of_counts(masses.sum(axis=0))
+        masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
+    h_resp = _entropy_of_counts(
+        _mass_cells(np.zeros(dataset.n, np.int64), masses, 1)[0])
     if h_resp <= 0:
         raise ValueError("response has zero entropy in this collection")
     dots: list[ExpansionDot] = []

@@ -8,11 +8,12 @@ the column totals reproduce the Kaplan-Meier jump sizes.
 
 Two constructions are provided:
 
-* :func:`binned_row_masses` is the production kernel.  It uses the
-  product-limit closed form (Efron 1967): a censored row's weight on event
-  time ``t_j > y_i`` is the Kaplan-Meier jump at ``t_j`` divided by the
-  survival just after ``y_i``.  Every weighted table in the library is
-  built from it.
+* :func:`binned_row_masses` is the production kernel.  It takes the time
+  and status arrays and uses the product-limit closed form (Efron 1967): a
+  censored row's weight on event time ``t_j > y_i`` is the Kaplan-Meier
+  jump at ``t_j`` divided by the survival just after ``y_i``.  Its (k, n)
+  per-bin mass rows are the one mass layout every weighted table is built
+  from.
 * :func:`build_weight_matrix` and :func:`build_cross_weight_matrix`
   materialize the dense subject-by-event-time matrix via the literal
   cascade.  They are the paper's reference construction, kept for
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import BinningScheme, categorize
-from .data import Dataset
+from .data import Dataset, _trailing_censored
 
 
 @dataclass(frozen=True)
@@ -65,19 +66,23 @@ class StepFunction:
         return -np.diff(vals)
 
 
-def _prepared(dataset: Dataset
-              ) -> tuple[Dataset, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Promote the largest censored point, order the rows (ascending y,
+def _prepared(y: np.ndarray, delta: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Promote the trailing censored points, order the rows (ascending y,
     events before censorings at ties, then input order), and take the
-    product-limit survival just after each ordered point."""
-    if dataset.n == 0:
+    product-limit survival just after each: ``(order, ys, deltas, surv)``."""
+    y, delta = np.asarray(y, dtype=float), np.asarray(delta)
+    if y.size == 0:
         raise ValueError("empty dataset")
-    ds = dataset.promote_largest_censored()
-    order = np.lexsort((np.arange(ds.n), 1 - ds.delta, ds.y))
-    ys, deltas = ds.y[order], ds.delta[order].astype(np.int8)
+    if delta.shape != y.shape or not np.isin(delta, (0, 1)).all():
+        raise ValueError("need one status, 0 or 1, per observed time")
+    promoted = delta.astype(np.int8)
+    promoted[_trailing_censored(y, promoted)] = 1
+    order = np.lexsort((np.arange(y.size), 1 - promoted, y))
+    ys, deltas = y[order], promoted[order]
     at_risk = ys.size - np.arange(ys.size)
     factors = np.where(deltas == 1, 1.0 - 1.0 / at_risk, 1.0)
-    return ds, order, ys, deltas, np.cumprod(factors)
+    return order, ys, deltas, np.cumprod(factors)
 
 
 def km_estimate(dataset: Dataset) -> StepFunction:
@@ -87,7 +92,7 @@ def km_estimate(dataset: Dataset) -> StepFunction:
     reaches zero at the last jump.  Tied event times aggregate into a single
     jump.
     """
-    _, _, ys, deltas, surv = _prepared(dataset)
+    _, ys, deltas, surv = _prepared(dataset.y, dataset.delta)
     unc = np.flatnonzero(deltas == 1)
     t_unc = ys[unc]
     s_unc = surv[unc]
@@ -146,7 +151,7 @@ def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
     exposition and tests as the oracle for :func:`binned_row_masses`, and
     no production path calls it.
     """
-    ds, order, ys, deltas, _ = _prepared(dataset)
+    order, ys, deltas, _ = _prepared(dataset.y, dataset.delta)
     n = ys.size
     cens_pos = np.flatnonzero(deltas == 0)
     unc_pos = np.flatnonzero(deltas == 1)
@@ -167,58 +172,55 @@ def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
     weights[cens_pos] = mass[:, unc_pos]
     weights[unc_pos, np.arange(unc_pos.size)] = 1.0
 
-    ids_sorted = tuple(ds.ids[i] for i in order)
-    orig = ds.original_delta()[order]
     return WeightMatrix(
-        row_ids=ids_sorted,
+        row_ids=tuple(dataset.ids[i] for i in order),
         row_y=ys.copy(),
         row_delta=deltas.copy(),
-        row_delta_original=orig.astype(np.int8),
+        row_delta_original=dataset.original_delta()[order].astype(np.int8),
         col_times=ys[unc_pos].copy(),
         weights=weights,
     )
 
 
-def binned_row_masses(dataset: Dataset,
+def binned_row_masses(y: np.ndarray, delta: np.ndarray,
                       scheme: BinningScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subject redistributed mass per time bin, aligned to input order.
+    """Redistributed mass per time bin of every subject, in input order.
 
-    Returns ``(B, col_times)`` with ``B`` of shape (n, nbins); row sums are
-    1.  A censored row's mass in a bin is the Kaplan-Meier jump mass of the
-    bin's event times right of ``y_i``, divided by the survival just after
-    ``y_i``; the subject-by-event-time matrix is never materialized.
+    ``delta`` holds a 0/1 status per time in ``y`` (``ValueError``
+    otherwise); the trailing-censored promotion is applied to a copy.
+    Returns ``(M, col_times)``: ``M`` is C-contiguous of shape (nbins, n),
+    built one bin row at a time, and ``M[b, i]`` is subject ``i``'s mass in
+    bin ``b``, so each column sums to 1.  A censored subject's mass in a bin
+    is the Kaplan-Meier jump mass of the bin's event times right of ``y_i``
+    over the survival just after ``y_i``; no subject-by-event-time matrix
+    is built.
     """
-    _, order, ys, deltas, surv = _prepared(dataset)
-    n = ys.size
+    order, ys, deltas, surv = _prepared(y, delta)
     surv_before = np.concatenate(([1.0], surv[:-1]))
-    jumps_pos = np.where(deltas == 1, surv_before - surv, 0.0)
     unc_pos = np.flatnonzero(deltas == 1)
     col_times = ys[unc_pos]
-    col_jumps = jumps_pos[unc_pos]
+    col_jumps = (surv_before - surv)[unc_pos]
     # cumulative jump mass from each column to the right
     tail = np.concatenate((np.cumsum(col_jumps[::-1])[::-1], [0.0]))
     k = scheme.nbins
-    col_bin0, _ = categorize(col_times, scheme)
-    col_bin0 = col_bin0 - 1
-    # column index where each bin starts / ends (columns sorted by time)
-    starts = np.searchsorted(col_bin0, np.arange(k), side="left")
-    ends = np.searchsorted(col_bin0, np.arange(k), side="right")
+    col_bin0 = categorize(col_times, scheme)[0] - 1
+    # columns of bin b are bounds[b]:bounds[b + 1] (columns sorted by time)
+    bounds = np.searchsorted(col_bin0, np.arange(k + 1))
 
-    B = np.zeros((n, k))
+    M = np.zeros((k, ys.size))
     cens = deltas == 0
-    if cens.any():
-        first_right = np.searchsorted(col_times, ys, side="right")
-        denom = np.where(surv > 0, surv, 1.0)
-        for b in range(k):
-            lo, hi = int(starts[b]), int(ends[b])
-            if lo == hi:
-                continue
-            a = np.clip(first_right, lo, hi)
-            B[cens, b] = (tail[a] - tail[hi])[cens] / denom[cens]
-    B[unc_pos, col_bin0] = 1.0
+    first_right = np.searchsorted(col_times, ys[cens], side="right")
+    denom = np.where(surv > 0, surv, 1.0)[cens]
+    for b in range(k):
+        lo, hi = int(bounds[b]), int(bounds[b + 1])
+        if lo == hi:
+            continue
+        a = np.clip(first_right, lo, hi)
+        M[b, cens] = (tail[a] - tail[hi]) / denom
+    M[col_bin0, unc_pos] = 1.0
 
-    out = np.empty_like(B)
-    out[order] = B
+    out = np.empty_like(M)
+    out[:, order] = M
     return out, col_times
 
 
@@ -241,22 +243,12 @@ def build_cross_weight_matrix(dataset: Dataset, direction: str) -> WeightMatrix:
         raise ValueError("cross matrices need both censored and uncensored records")
     if direction == "C-rows":
         full = build_weight_matrix(dataset)
-        keep = np.flatnonzero(full.row_delta_original == 0)
     elif direction == "T-rows":
-        flipped = Dataset(
-            y=dataset.y,
-            delta=1 - orig_delta,
-            X=dataset.X,
-            feature_names=dataset.feature_names,
-            ids=dataset.ids,
-            feature_kinds=dataset.feature_kinds,
-            meta={k: v for k, v in dataset.meta.items()
-                  if k not in ("promoted_index", "promoted_id")},
-        )
-        full = build_weight_matrix(flipped)
-        keep = np.flatnonzero(full.row_delta_original == 0)
+        full = build_weight_matrix(
+            Dataset(y=dataset.y, delta=1 - orig_delta, ids=dataset.ids))
     else:
         raise ValueError("direction must be 'C-rows' or 'T-rows'")
+    keep = np.flatnonzero(full.row_delta_original == 0)
     return WeightMatrix(
         row_ids=tuple(full.row_ids[i] for i in keep),
         row_y=full.row_y[keep],

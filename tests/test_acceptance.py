@@ -311,7 +311,7 @@ def test_criterion_5a_invariant_battery():
                 break
         # weighted-table chain consistency within 1e-10
         scheme = equal_width_bins(ds.y, 4)
-        B, _ = binned_row_masses(ds, scheme)
+        B, _ = binned_row_masses(ds.y, ds.delta, scheme)
         cats = categorize_features(ds, n_bins=3)
         a, b = cats.column("V1"), cats.column("V2")
         ab, _ = fuse_categories([a, b])
@@ -402,7 +402,7 @@ def test_criterion_5d_reliability_uniformity():
     ds = make_random_dataset(3, n=400, n_features=2)
     scheme = equal_width_bins(ds.y, 4)
     null = reliability_null(ds, scheme, n_rep=200, seed=11)
-    B, _ = binned_row_masses(ds, scheme)
+    B, _ = binned_row_masses(ds.y, ds.delta, scheme)
     rng = np.random.default_rng(12)
     pvals = []
     for _ in range(100):

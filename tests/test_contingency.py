@@ -85,7 +85,7 @@ def test_fuse_materializes_only_observed(case):
 
     B = rng.uniform(0, 1, (n, 4))
     for row_codes in (vecs[0], codes):
-        table = table_from_binned(B, row_codes)
+        table = table_from_binned(B.T, row_codes)
         assert np.array_equal(table.cells, sort_table_from_binned(B, row_codes))
         assert table.row_labels == tuple(int(v) for v in np.unique(row_codes))
     ux, xi = np.unique(vecs[0], return_inverse=True)
@@ -113,7 +113,7 @@ def test_codes_must_be_integral():
         with pytest.raises(ValueError, match="integral"):
             table_plain(bad, np.array([1, 2]))
         with pytest.raises(ValueError, match="integral"):
-            table_from_binned(np.ones((2, 3)), bad)
+            table_from_binned(np.ones((3, 2)), bad)
     codes, labels = fuse_categories([np.array([2.0, 1.0]), np.array([1, 1])])
     assert codes.tolist() == [2, 1]
     assert labels == [(1, 1), (2, 1)]
@@ -256,7 +256,7 @@ def test_censor_cross_mass_accounting():
     ds = make_random_dataset(5, n=200, censor_frac=0.4)
     scheme = equal_width_bins(ds.y, 4)
     summed, c_part, t_part = censor_cross_table(ds, scheme)
-    orig = ds.original_delta() if "promoted_index" in ds.meta else ds.delta
+    orig = ds.original_delta()
     n_c = int((orig == 0).sum())
     n_u = int((orig == 1).sum())
     assert c_part.total == pytest.approx(n_c, abs=1e-9)
@@ -295,4 +295,4 @@ def test_table_csv_and_triplets(tmp_path):
 
 def test_table_from_binned_alignment_error():
     with pytest.raises(ValueError):
-        table_from_binned(np.ones((3, 2)), np.array([1, 2]))
+        table_from_binned(np.ones((2, 3)), np.array([1, 2]))

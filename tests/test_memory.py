@@ -10,11 +10,13 @@ import pytest
 
 from survent import (
     SimConfig,
+    binned_row_masses,
     categorize_features,
     equal_width_bins,
     generate,
     ingest_csv,
     run_mfs,
+    table_from_binned,
 )
 
 MiB = 2 ** 20
@@ -52,3 +54,11 @@ def test_run_mfs_peak_keeps_no_composite_tables(sample):
         warnings.simplefilter("ignore", UserWarning)  # order-3 size guard
         peak = traced_peak(run_mfs, sample, scheme, cats=cats, max_order=3)
     assert peak < 5 * MiB
+
+
+def test_table_from_binned_peak_has_no_cell_index(sample):
+    # an n x k int64 cell index alone would be 0.76 MiB here
+    scheme = equal_width_bins(sample.y, 10)
+    masses, _ = binned_row_masses(sample.y, sample.delta, scheme)
+    codes = categorize_features(sample, n_bins=10).column("V1")
+    assert traced_peak(table_from_binned, masses, codes) < 0.5 * MiB

@@ -154,7 +154,7 @@ def test_reliability_null_fresh_draw_calibration():
     from survent.entropy import conditional_entropy
     from survent.redistribution import binned_row_masses
 
-    B, _ = binned_row_masses(ds, scheme)
+    B, _ = binned_row_masses(ds.y, ds.delta, scheme)
     pvals = []
     for _ in range(100):
         noise = rng.uniform(0, 1, ds.n)
@@ -197,7 +197,7 @@ def test_reliability_null_tiny_degenerate_subcollection():
 
 def null_per_replicate(ds, scheme, cats, anchor_set, n_rep, n_bins, seed):
     """The null built one table per replicate: the reference construction."""
-    B, _ = binned_row_masses(ds, scheme)
+    B, _ = binned_row_masses(ds.y, ds.delta, scheme)
     anchor_codes = [cats.column(f) for f in anchor_set]
     out = []
     for stream in np.random.SeedSequence(seed).spawn(n_rep):

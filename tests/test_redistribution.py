@@ -166,7 +166,7 @@ def test_binned_masses_match_dense(seed, n, tied):
     ds = make_tied_dataset(seed, n) if tied else make_random_dataset(seed, n=n)
     Wd = build_weight_matrix(ds)
     scheme = equal_width_bins(Wd.col_times, 5)
-    B, _ = binned_row_masses(ds, scheme)
+    B, _ = binned_row_masses(ds.y, ds.delta, scheme)
     # reduce the dense matrix with the same binning, in dataset order
     col_bin, _ = categorize(Wd.col_times, scheme)
     dense = np.zeros((ds.n, 5))
@@ -174,7 +174,7 @@ def test_binned_masses_match_dense(seed, n, tied):
         dense[:, b - 1] = Wd.weights[:, col_bin == b].sum(axis=1)
     pos = {rid: i for i, rid in enumerate(Wd.row_ids)}
     idx = [pos[rid] for rid in ds.ids]
-    np.testing.assert_allclose(B, dense[idx], atol=1e-12)
+    np.testing.assert_allclose(B.T, dense[idx], atol=1e-12)
 
 
 def test_cross_c_rows_equals_row_extraction(golden10):
