@@ -19,11 +19,12 @@ Identical invocations produce byte-identical outputs apart from the
 manifest timestamps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-The last covers an unreadable or invalid config, an unreadable input, a
-feature named by ``--subdivide``, ``--expand`` or ``--features`` that the
-config does not list, ``analyze --expand`` without ``--subdivide``, and
-invalid ``simulate`` settings; all of them are found before any output is
-written.
+The last covers an unreadable or invalid config (repeated feature names
+and bin edges that are not strictly increasing included), an unreadable
+input, a feature named by ``--subdivide``, ``--expand`` or ``--features``
+that the config does not list, ``analyze --expand`` without
+``--subdivide``, and invalid ``simulate`` settings; all of them are found
+before any output is written.
 """
 
 from __future__ import annotations

@@ -217,13 +217,12 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
     ``(summed, censored_part, event_part_transposed)``.
 
     Each addend is one :func:`_mass_cells` table of the rows censored under
-    a status vector (the observed one with promotion undone, or its flip),
-    indexed by their own time bin, on :func:`binned_row_masses` under that
-    vector.  This equals the cascade tables of
-    :func:`build_cross_weight_matrix` without the O(n_c * n) matrices.
+    a status vector (the observed ``dataset.delta``, or its flip), indexed
+    by their own time bin, on :func:`binned_row_masses` under that vector.
+    This equals the cascade tables of :func:`build_cross_weight_matrix`
+    without the O(n_c * n) matrices.
     """
-    orig = dataset.original_delta()
-    if orig.sum() == 0 or orig.sum() == dataset.n:
+    if dataset.n_u == 0 or dataset.n_c == 0:
         raise ValueError("cross tables need both censored and uncensored records")
     k = time_scheme.nbins
     labels = tuple(range(1, k + 1))
@@ -235,8 +234,8 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
         keep = delta == 0
         return _mass_cells(own_bin[keep] - 1, M[:, keep], k)
 
-    c_cells = own_bin_grid(orig)
-    t_cells = own_bin_grid(1 - orig).T  # rows become censoring bins
+    c_cells = own_bin_grid(dataset.delta)
+    t_cells = own_bin_grid(1 - dataset.delta).T  # rows become censoring bins
     c_tab = ContingencyTable(labels, labels, c_cells)
     t_tab = ContingencyTable(labels, labels, t_cells)
     summed = ContingencyTable(labels, labels, c_cells + t_cells)

@@ -19,6 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.dtypes import StringDType
 
+from .binning import explicit_bins
+
 
 class ConfigError(ValueError):
     """Column-role configuration does not match the input file."""
@@ -48,7 +50,8 @@ class ColumnConfig:
 
     ``bins`` maps a feature name to an explicit, strictly increasing list of
     bin edges used instead of an automatic scheme. ``kinds`` optionally tags
-    features as ``"continuous"`` or ``"categorical"``.
+    features as ``"continuous"`` or ``"categorical"``.  Repeated feature
+    names and edges :func:`explicit_bins` rejects raise :class:`ConfigError`.
     """
 
     time: str
@@ -73,15 +76,22 @@ class ColumnConfig:
         for key in ("time", "status", "features"):
             if key not in raw:
                 raise ConfigError(f"config is missing required key {key!r}")
+        features = tuple(str(f) for f in raw["features"])
+        if len(set(features)) != len(features):
+            raise ConfigError("feature names must be unique")
+        bins = {k: list(map(float, v)) for k, v in (raw.get("bins") or {}).items()}
+        try:
+            for edges in bins.values():
+                explicit_bins(edges)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return cls(
             time=str(raw["time"]),
             status=str(raw["status"]),
-            features=tuple(str(f) for f in raw["features"]),
+            features=features,
             id=raw.get("id"),
             kinds=dict(raw["kinds"]) if raw.get("kinds") else None,
-            bins={k: list(map(float, v)) for k, v in raw["bins"].items()}
-            if raw.get("bins")
-            else None,
+            bins=bins or None,
             version=version,
         )
 
@@ -99,11 +109,6 @@ class ColumnConfig:
         if self.bins:
             out["bins"] = {k: list(v) for k, v in self.bins.items()}
         return out
-
-
-def _trailing_censored(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Censored rows at the largest time, in descending row order."""
-    return np.flatnonzero((delta == 0) & (y == y.max()))[::-1]
 
 
 class Dataset:
@@ -125,7 +130,7 @@ class Dataset:
         Extra per-subject columns that are not features (used by the
         simulator to carry the true event and censoring times).
     meta : dict
-        Free-form provenance, e.g. the promoted-subject id.
+        Free-form provenance, e.g. the source file or sub-collection tag.
     """
 
     def __init__(
@@ -208,11 +213,6 @@ class Dataset:
             idx = mask
         else:
             idx = np.flatnonzero(mask)
-        # promotion bookkeeping is row-positional; subsets start unannotated
-        meta = {k: v for k, v in self.meta.items()
-                if k not in ("promoted_index", "promoted_id")}
-        if meta_update:
-            meta.update(meta_update)
         return Dataset(
             y=self.y[idx],
             delta=self.delta[idx],
@@ -221,53 +221,8 @@ class Dataset:
             ids=[self.ids[i] for i in np.atleast_1d(idx)],
             feature_kinds=self.feature_kinds,
             hidden={k: v[idx] for k, v in self.hidden.items()},
-            meta=meta,
+            meta={**self.meta, **(meta_update or {})},
         )
-
-    def promote_largest_censored(self) -> "Dataset":
-        """Treat the trailing censored observations as events.
-
-        Standard convention before product-limit estimation and weight
-        redistribution: the record that sorts last (largest observed time;
-        events before censorings at ties, then input order) has nothing to
-        its right to receive its mass, so when it is censored it is
-        converted to an event.  A promoted record then sorts ahead of the
-        censored records tied with it, so promotion repeats until the last
-        record is an event: every censored record at the largest time is
-        promoted.  A no-op (returning ``self``) when there is none, e.g.
-        after a promotion.  The promoted rows, in descending row order (the
-        order of the repeated promotion), are recorded in ``meta`` under
-        ``promoted_index`` / ``promoted_id``.
-        """
-        if self.n == 0:
-            raise ValueError("empty dataset")
-        promoted = _trailing_censored(self.y, self.delta).tolist()
-        if not promoted:
-            return self
-        delta = np.array(self.delta)
-        delta[promoted] = 1
-        return Dataset(
-            y=self.y,
-            delta=delta,
-            X=self.X,
-            feature_names=self.feature_names,
-            ids=self.ids,
-            feature_kinds=self.feature_kinds,
-            hidden=self.hidden,
-            meta={**self.meta,
-                  "promoted_index": tuple(promoted),
-                  "promoted_id": tuple(self.ids[i] for i in promoted)},
-        )
-
-    def original_delta(self) -> np.ndarray:
-        """Status vector with any promotion undone."""
-        out = np.array(self.delta)
-        promoted = self.meta.get("promoted_index")
-        if promoted is not None:
-            idx = promoted if isinstance(promoted, tuple) else (promoted,)
-            for i in idx:
-                out[int(i)] = 0
-        return out
 
     def to_csv(self, path: str | Path) -> None:
         """Write ``id, time, status, features...``, floats as their shortest

@@ -355,9 +355,9 @@ def subdivide(dataset: Dataset, cats: CategorizedFeatures,
     """Partition a dataset by one feature's categories.
 
     Empty categories are omitted with a warning.  Sub-datasets carry a
-    ``subcollection`` meta tag and start without promotion bookkeeping; the
-    trailing-censored promotion re-applies locally whenever a weight matrix
-    or product-limit estimate is built on them.
+    ``subcollection`` meta tag and their observed statuses; the
+    trailing-censored promotion applies to each one's own largest time
+    whenever its masses or product-limit estimate are built.
     """
     column = cats.column(feature)
     out = []
@@ -407,8 +407,6 @@ def mce_matrix(cats: CategorizedFeatures,
     zero-entropy (constant) feature are undefined and reported as 1.
     """
     names = tuple(features) if features is not None else cats.names
-    if len(names) < 2:
-        raise ValueError("need at least 2 features")
     m = len(names)
     out = np.zeros((m, m))
     ents = {}

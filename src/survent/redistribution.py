@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import BinningScheme, categorize
-from .data import Dataset, _trailing_censored
+from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,18 @@ def _prepared(y: np.ndarray, delta: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Promote the trailing censored points, order the rows (ascending y,
     events before censorings at ties, then input order), and take the
-    product-limit survival just after each: ``(order, ys, deltas, surv)``."""
+    product-limit survival just after each: ``(order, ys, deltas, surv)``.
+    The only copy of the promotion rule: nothing lies right of the last
+    record to take its mass, and a promoted record sorts ahead of censorings
+    tied with it, so every censored record at the largest time counts as an
+    event, in ``deltas`` only; the caller's ``delta`` is never changed."""
     y, delta = np.asarray(y, dtype=float), np.asarray(delta)
     if y.size == 0:
         raise ValueError("empty dataset")
     if delta.shape != y.shape or not np.isin(delta, (0, 1)).all():
         raise ValueError("need one status, 0 or 1, per observed time")
     promoted = delta.astype(np.int8)
-    promoted[_trailing_censored(y, promoted)] = 1
+    promoted[y == y.max()] = 1
     order = np.lexsort((np.arange(y.size), 1 - promoted, y))
     ys, deltas = y[order], promoted[order]
     at_risk = ys.size - np.arange(ys.size)
@@ -109,7 +113,7 @@ class WeightMatrix:
     Rows are ordered by ascending observed time; columns are the ordered
     event times (only event times index columns).  ``row_delta`` is the
     status used in the construction (after promotion), ``row_delta_original``
-    the status as observed.
+    the dataset's own, unpromoted ``delta``.
 
     Output of the reference construction (:func:`build_weight_matrix`);
     production code works on :func:`binned_row_masses` instead.
@@ -155,8 +159,6 @@ def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
     n = ys.size
     cens_pos = np.flatnonzero(deltas == 0)
     unc_pos = np.flatnonzero(deltas == 1)
-    if unc_pos.size == 0:
-        raise ValueError("no events even after promoting the largest censored point")
 
     # position-space mass for all censored rows at once: start with a unit
     # at each censored position, then sweep censored positions left to right,
@@ -176,7 +178,7 @@ def build_weight_matrix(dataset: Dataset) -> WeightMatrix:
         row_ids=tuple(dataset.ids[i] for i in order),
         row_y=ys.copy(),
         row_delta=deltas.copy(),
-        row_delta_original=dataset.original_delta()[order].astype(np.int8),
+        row_delta_original=dataset.delta[order],
         col_times=ys[unc_pos].copy(),
         weights=weights,
     )
@@ -238,14 +240,13 @@ def build_cross_weight_matrix(dataset: Dataset, direction: str) -> WeightMatrix:
     and running the same cascade, then keeping the rows that were events in
     the original data.
     """
-    orig_delta = np.asarray(dataset.original_delta())
-    if orig_delta.sum() == 0 or orig_delta.sum() == dataset.n:
+    if dataset.n_u == 0 or dataset.n_c == 0:
         raise ValueError("cross matrices need both censored and uncensored records")
     if direction == "C-rows":
         full = build_weight_matrix(dataset)
     elif direction == "T-rows":
         full = build_weight_matrix(
-            Dataset(y=dataset.y, delta=1 - orig_delta, ids=dataset.ids))
+            Dataset(y=dataset.y, delta=1 - dataset.delta, ids=dataset.ids))
     else:
         raise ValueError("direction must be 'C-rows' or 'T-rows'")
     keep = np.flatnonzero(full.row_delta_original == 0)

@@ -216,11 +216,18 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
     ("simulate", ["--n", "10", "--censor-rate", "0.001"]),
     ("simulate", ["--n", "10", "--censor-rate", "1.2"]),
     ("analyze", ["--expand", "V7:V3"]),
+    ("mfs", ["--config", "{tmp}/repeated.json"]),
+    ("mfs", ["--config", "{tmp}/unsorted.json"]),
 ])
 def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
                                                opts, capsys):
     data, config = sim_files
     (tmp_path / "invalid.json").write_text('{"time": "time",')
+    cfg = json.loads(config.read_text())
+    (tmp_path / "repeated.json").write_text(
+        json.dumps({**cfg, "features": ["V1", "V1"]}))
+    (tmp_path / "unsorted.json").write_text(
+        json.dumps({**cfg, "bins": {"V2": [0.5, 0.2, 0.8]}}))
     outdir = tmp_path / "out"
     if command == "simulate":
         given = ["--out", str(outdir / "sim.csv")]
@@ -400,3 +407,24 @@ def test_empty_report_is_header_only(sim_files, tmp_path, command, empty):
                       )["records"] == []
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert str(outdir / empty) in manifest["outputs"]
+
+
+@pytest.mark.parametrize("opts", [[], ["--subdivide", "V1"]])
+def test_analyze_one_feature(sim_files, tmp_path, opts):
+    """One feature: a 1 x 1 association matrix, a header-only edge list,
+    and a manifest listing every file written."""
+    data, config = sim_files
+    cfg = json.loads(config.read_text())
+    config1 = tmp_path / "one.json"
+    config1.write_text(json.dumps({**cfg, "features": ["V1"]}))
+    outdir = tmp_path / "out"
+    rc = main(["analyze", "--input", str(data), "--config", str(config1),
+               "--outdir", str(outdir), "--max-order", "1", "--n-sim", "50",
+               *opts])
+    assert rc == 0
+    assert (outdir / "mce_matrix.csv").read_bytes() == b",V1\r\nV1,0.000000\r\n"
+    assert (outdir / "mce_edges.csv").read_bytes() == b"a,b,mce\r\n"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    listed = {str(Path(p).relative_to(outdir)): d
+              for p, d in manifest["outputs"].items()}
+    assert listed == _files(outdir)

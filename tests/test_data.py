@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survent import (
@@ -17,6 +17,7 @@ from survent import (
     ParseError,
     ingest_csv,
 )
+from survent.redistribution import _prepared
 
 
 @pytest.fixture
@@ -131,66 +132,38 @@ def test_counts_identity():
     assert ds.n_u == int(ds.delta.sum())
 
 
-def test_promotion_records_metadata():
-    ds = Dataset(y=[1.0, 5.0, 3.0], delta=[1, 0, 1])
-    promoted = ds.promote_largest_censored()
-    assert promoted.delta.tolist() == [1, 1, 1]
-    assert promoted.meta["promoted_index"] == (1,)
-    assert promoted.original_delta().tolist() == [1, 0, 1]
-    # idempotent, and a no-op when the trailing point is an event
-    assert promoted.promote_largest_censored() is promoted
-    assert ds.subset([0, 1]).meta.get("promoted_index") is None
-
-
-def test_promotion_with_tied_max():
-    # event and censoring tied at the max: the censoring sorts last
-    ds = Dataset(y=[1.0, 2.0, 2.0], delta=[1, 1, 0])
-    promoted = ds.promote_largest_censored()
-    assert promoted.delta.tolist() == [1, 1, 1]
-
-
-def test_promotion_cascades_through_tied_censored_block():
-    # two censored records tied at the max: promoting one re-sorts it ahead
-    # of the other, which must then be promoted too
-    ds = Dataset(y=[1.0, 5.0, 5.0], delta=[1, 0, 0])
-    promoted = ds.promote_largest_censored()
-    assert promoted.delta.tolist() == [1, 1, 1]
-    assert set(promoted.meta["promoted_index"]) == {1, 2}
-    assert promoted.original_delta().tolist() == [1, 0, 0]
-
-
-def _promote_by_resorting(ds: Dataset) -> tuple[list[int], list[int]]:
+def _promote_by_resorting(y: np.ndarray, delta: np.ndarray) -> list[int]:
     """Oracle: re-sort and promote the trailing record while it is censored."""
-    delta = np.array(ds.delta)
-    promoted = []
+    delta = np.array(delta)
     while True:
-        last = int(np.lexsort((np.arange(ds.n), 1 - delta, ds.y))[-1])
+        last = int(np.lexsort((np.arange(y.size), 1 - delta, y))[-1])
         if delta[last] == 1:
-            return delta.tolist(), promoted
+            return delta.tolist()
         delta[last] = 1
-        promoted.append(last)
+
+
+@st.composite
+def few_times(draw):
+    """Few distinct times, so the largest one is shared by many records of
+    both kinds; large n keeps the oracle's censored block long."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1000, 3000)))
+    y = rng.integers(0, draw(st.integers(1, 8)), n).astype(float)
+    return y, (rng.uniform(size=n) >= draw(st.floats(0.0, 1.0))).astype(int)
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       n=st.one_of(st.integers(1, 40), st.integers(1000, 3000)),
-       n_times=st.integers(1, 8),
-       censored=st.floats(0.0, 1.0))
-def test_promotion_matches_repeated_resort(seed, n, n_times, censored):
-    # few distinct times, so the largest one is shared by many records of
-    # both kinds; large n keeps the oracle's censored block long
-    rng = np.random.default_rng(seed)
-    ds = Dataset(y=rng.integers(0, n_times, n).astype(float),
-                 delta=(rng.uniform(size=n) >= censored).astype(int),
-                 meta={"source": "test"})
-    delta, promoted = _promote_by_resorting(ds)
-    out = ds.promote_largest_censored()
-    if not promoted:
-        assert out is ds
-        return
-    assert out.delta.tolist() == delta
-    assert out.meta == {"source": "test",
-                        "promoted_index": tuple(promoted),
-                        "promoted_id": tuple(ds.ids[i] for i in promoted)}
-    assert out.original_delta().tolist() == ds.delta.tolist()
-    assert out.promote_largest_censored() is out
+@given(sample=few_times())
+# an event and a censoring tied at the max: the censoring sorts last
+@example(sample=(np.array([1.0, 2.0, 2.0]), np.array([1, 1, 0])))
+# two censorings tied at the max: promoting one re-sorts it ahead of the
+# other, which must then be promoted too
+@example(sample=(np.array([1.0, 5.0, 5.0]), np.array([1, 0, 0])))
+def test_promotion_matches_repeated_resort(sample):
+    y, delta = sample
+    observed = delta.copy()
+    order, _, deltas, _ = _prepared(y, delta)
+    promoted = np.empty_like(deltas)
+    promoted[order] = deltas
+    assert promoted.tolist() == _promote_by_resorting(y, observed)
+    assert np.array_equal(delta, observed)  # the caller's status is kept
