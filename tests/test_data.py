@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survent import (
@@ -152,18 +152,31 @@ def few_times(draw):
     return y, (rng.uniform(size=n) >= draw(st.floats(0.0, 1.0))).astype(int)
 
 
+def _promoted_delta(y, delta) -> list[int]:
+    order, _, deltas, _ = _prepared(np.asarray(y, dtype=float),
+                                    np.asarray(delta))
+    promoted = np.empty_like(deltas)
+    promoted[order] = deltas
+    return promoted.tolist()
+
+
+def test_promotion_with_tied_max():
+    # event and censoring tied at the max: the censoring sorts last
+    assert _promoted_delta([1.0, 2.0, 2.0], [1, 1, 0]) == [1, 1, 1]
+
+
+def test_promotion_cascades_through_tied_censored_block():
+    # two censored records tied at the max: promoting one re-sorts it ahead
+    # of the other, which must then be promoted too
+    delta = np.array([1, 0, 0])
+    assert _promoted_delta([1.0, 5.0, 5.0], delta) == [1, 1, 1]
+    assert delta.tolist() == [1, 0, 0]  # the caller's status is kept
+
+
 @settings(max_examples=150, deadline=None)
 @given(sample=few_times())
-# an event and a censoring tied at the max: the censoring sorts last
-@example(sample=(np.array([1.0, 2.0, 2.0]), np.array([1, 1, 0])))
-# two censorings tied at the max: promoting one re-sorts it ahead of the
-# other, which must then be promoted too
-@example(sample=(np.array([1.0, 5.0, 5.0]), np.array([1, 0, 0])))
 def test_promotion_matches_repeated_resort(sample):
     y, delta = sample
     observed = delta.copy()
-    order, _, deltas, _ = _prepared(y, delta)
-    promoted = np.empty_like(deltas)
-    promoted[order] = deltas
-    assert promoted.tolist() == _promote_by_resorting(y, observed)
+    assert _promoted_delta(y, delta) == _promote_by_resorting(y, observed)
     assert np.array_equal(delta, observed)  # the caller's status is kept
