@@ -168,12 +168,15 @@ def run_censor_test(dataset: Dataset | None = None,
                     table: ContingencyTable | None = None,
                     n_sim: int = 10_000,
                     seed: int = 0,
-                    alpha: float = 0.05) -> CensorTestResult:
+                    alpha: float = 0.05,
+                    masses: np.ndarray | None = None) -> CensorTestResult:
     """Run the censoring-independence diagnostic.
 
     Either give a dataset plus the time-bin scheme (the summed
     censoring-vs-event table is built by redistribution), or feed a
-    prebuilt ``table`` directly.  Row totals are fractional after
+    prebuilt ``table`` directly.  ``masses`` is the dataset's (k, n)
+    :func:`binned_row_masses` layout, passed on to
+    :func:`censor_cross_table`.  Row totals are fractional after
     redistribution; multinomial draws use them rounded half-up.  Each
     row's and column's p-value is two-sided on its null sample.
     """
@@ -183,7 +186,8 @@ def run_censor_test(dataset: Dataset | None = None,
     else:
         if dataset is None or time_scheme is None:
             raise ValueError("need either a table or a dataset with a time scheme")
-        table, censored_part, event_part = censor_cross_table(dataset, time_scheme)
+        table, censored_part, event_part = censor_cross_table(
+            dataset, time_scheme, masses=masses)
 
     h_col = _entropy_of_counts(table.col_sums())
     h_row = _entropy_of_counts(table.row_sums())

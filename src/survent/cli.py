@@ -19,12 +19,15 @@ Identical invocations produce byte-identical outputs apart from the
 manifest timestamps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-The last covers an unreadable or invalid config (repeated feature names
-and bin edges that are not strictly increasing included), an unreadable
-input, a feature named by ``--subdivide``, ``--expand`` or ``--features``
-that the config does not list, ``analyze --expand`` without
-``--subdivide``, and invalid ``simulate`` settings; all of them are found
-before any output is written.
+The last covers an unreadable or invalid config (repeated feature names,
+bin edges that are not strictly increasing, a ``bins`` entry that names
+neither the time column nor a listed feature, and a ``kinds`` entry that
+names no listed feature or a kind other than ``continuous`` and
+``categorical`` included), an unreadable input, a feature named by
+``--subdivide``, ``--expand`` or ``--features`` that the config does not
+list, ``analyze --expand`` without ``--subdivide``, and invalid
+``simulate`` settings; all of them are found before any output is
+written.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class Manifest:
 
     The column config is read, and every feature the options name is
     checked against it, when the run starts.  The dataset, the response-time
-    scheme and the whole sample's categories are built once, on first use.
+    scheme and the whole sample's categories and binned mass rows are built
+    once, on first use.
     Each output is recorded as it is written (:meth:`file`,
     :meth:`write_rows`, :meth:`write_json`, or ``written +=`` the paths a
     library writer returns); :meth:`write` hashes them into
@@ -142,6 +146,13 @@ class Manifest:
     @cached_property
     def cats(self) -> CategorizedFeatures:
         return self.categorize(self.dataset)
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """The whole sample's (k, n) :func:`binned_row_masses` layout."""
+        masses, _ = binned_row_masses(self.dataset.y, self.dataset.delta,
+                                      self.scheme)
+        return masses
 
     def categorize(self, dataset: Dataset) -> CategorizedFeatures:
         """Categories of the whole sample or of one sub-collection: the
@@ -242,13 +253,11 @@ def cmd_mfs(run: Manifest, dataset: Dataset | None = None,
             masses: np.ndarray | None = None) -> None:
     """Ranked feature sets (and the reliability null with
     ``--reliability``) of the whole sample, or of the sub-collection
-    ``dataset`` with its ``cats``, under ``where``.  The ranking and the
-    null share one binned mass table, ``masses`` when given."""
+    ``dataset`` with its ``cats`` and ``masses``, under ``where``.  The
+    ranking and the null share one binned mass table."""
     args = run.args
     if dataset is None:
-        dataset, cats = run.dataset, run.cats
-    if masses is None:
-        masses, _ = binned_row_masses(dataset.y, dataset.delta, run.scheme)
+        dataset, cats, masses = run.dataset, run.cats, run.masses
     reports = run_mfs(dataset, run.scheme, cats=cats, max_order=args.max_order,
                       features=features, masses=masses)
     if args.reliability > 0:
@@ -286,7 +295,7 @@ def cmd_subdivide(run: Manifest) -> None:
 
 def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:
     result = run_censor_test(run.dataset, run.scheme, n_sim=run.args.n_sim,
-                             seed=run.args.seed)
+                             seed=run.args.seed, masses=run.masses)
     run.written += result.write(run.outdir / where)
     return result.verdict
 

@@ -206,7 +206,8 @@ def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
     return table_from_binned(masses, cats, row_labels=row_labels)
 
 
-def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
+def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme,
+                       masses: np.ndarray | None = None
                        ) -> tuple[ContingencyTable, ContingencyTable, ContingencyTable]:
     """Summed censoring-vs-event-time table plus its two addends.
 
@@ -220,7 +221,9 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
     a status vector (the observed ``dataset.delta``, or its flip), indexed
     by their own time bin, on :func:`binned_row_masses` under that vector.
     This equals the cascade tables of :func:`build_cross_weight_matrix`
-    without the O(n_c * n) matrices.
+    without the O(n_c * n) matrices.  ``masses`` is the collection's (k, n)
+    :func:`binned_row_masses` layout under the observed statuses, built here
+    when omitted; the flipped addend always builds its own.
     """
     if dataset.n_u == 0 or dataset.n_c == 0:
         raise ValueError("cross tables need both censored and uncensored records")
@@ -228,14 +231,15 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
     labels = tuple(range(1, k + 1))
     own_bin, _ = categorize(dataset.y, time_scheme)
 
-    def own_bin_grid(delta: np.ndarray) -> np.ndarray:
+    def own_bin_grid(delta: np.ndarray, M: np.ndarray | None) -> np.ndarray:
         """Masses of the rows censored under ``delta``, by their own bin."""
-        M, _ = binned_row_masses(dataset.y, delta, time_scheme)
+        if M is None:
+            M, _ = binned_row_masses(dataset.y, delta, time_scheme)
         keep = delta == 0
         return _mass_cells(own_bin[keep] - 1, M[:, keep], k)
 
-    c_cells = own_bin_grid(dataset.delta)
-    t_cells = own_bin_grid(1 - dataset.delta).T  # rows become censoring bins
+    c_cells = own_bin_grid(dataset.delta, masses)
+    t_cells = own_bin_grid(1 - dataset.delta, None).T  # rows: censoring bins
     c_tab = ContingencyTable(labels, labels, c_cells)
     t_tab = ContingencyTable(labels, labels, t_cells)
     summed = ContingencyTable(labels, labels, c_cells + t_cells)

@@ -51,7 +51,10 @@ class ColumnConfig:
     ``bins`` maps a feature name to an explicit, strictly increasing list of
     bin edges used instead of an automatic scheme. ``kinds`` optionally tags
     features as ``"continuous"`` or ``"categorical"``.  Repeated feature
-    names and edges :func:`explicit_bins` rejects raise :class:`ConfigError`.
+    names, edges :func:`explicit_bins` rejects, a ``bins`` key that is
+    neither the time column nor a listed feature, and a ``kinds`` key that
+    is not a listed feature or whose value is neither kind raise
+    :class:`ConfigError`.
     """
 
     time: str
@@ -79,18 +82,30 @@ class ColumnConfig:
         features = tuple(str(f) for f in raw["features"])
         if len(set(features)) != len(features):
             raise ConfigError("feature names must be unique")
+        time = str(raw["time"])
         bins = {k: list(map(float, v)) for k, v in (raw.get("bins") or {}).items()}
+        for name in bins:
+            if name != time and name not in features:
+                raise ConfigError(f"bins entry {name!r} is neither the time "
+                                  "column nor a listed feature")
         try:
             for edges in bins.values():
                 explicit_bins(edges)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        kinds = dict(raw.get("kinds") or {})
+        for name, kind in kinds.items():
+            if name not in features:
+                raise ConfigError(f"kinds entry {name!r} is not a listed feature")
+            if kind not in ("continuous", "categorical"):
+                raise ConfigError(f"kind of {name!r} must be 'continuous' "
+                                  f"or 'categorical', not {kind!r}")
         return cls(
-            time=str(raw["time"]),
+            time=time,
             status=str(raw["status"]),
             features=features,
             id=raw.get("id"),
-            kinds=dict(raw["kinds"]) if raw.get("kinds") else None,
+            kinds=kinds or None,
             bins=bins or None,
             version=version,
         )

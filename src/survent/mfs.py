@@ -50,7 +50,12 @@ from .redistribution import binned_row_masses
 
 @dataclass(frozen=True)
 class CategorizedFeatures:
-    """Per-feature ordinal codes (1-based) aligned to a dataset."""
+    """Per-feature ordinal codes (1-based) aligned to a dataset.
+
+    Every code of feature ``f`` lies in ``1..len(levels[f])``; levels may be
+    empty (explicit bins that no value reaches).  :func:`run_mfs` relies on
+    this to fuse codes as mixed-radix numbers without compacting them.
+    """
 
     names: tuple[str, ...]
     codes: np.ndarray  # n x K, int64
@@ -175,9 +180,15 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
 
     ``masses`` is the collection's (k, n) :func:`binned_row_masses` layout
     under ``time_scheme``, built here when omitted; the response margin is
-    its one-row table.  Feature sets are streamed:
-    sets of two or three are fused to bare composite codes, only the
-    order-1 tables are kept, each order-2 table serves its pair's
+    its one-row table.  Feature sets are streamed, and fused on the
+    1-based category codes of ``cats``: a pair (a, b) is the mixed-radix
+    code ``code_a * (len(levels_b) + 1) + code_b``, which its table
+    compacts once.  ``itertools.combinations`` varies the third member
+    fastest, so each (a, b) of a triple is compacted once and serves as the
+    high digit of all its triples (a, b, c).  Ascending mixed-radix codes
+    are lexicographic in the member codes, so rows, cells and entropies are
+    those of fusing each set on its own.  Only the order-1 tables and one
+    compacted pair code are kept, each order-2 table serves its pair's
     conditional mutual information and is dropped, and order-3 tables are
     never kept, so memory is O(n * k) whatever the number of sets.
     """
@@ -192,6 +203,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
         _mass_cells(np.zeros(dataset.n, np.int64), masses, 1)[0])
 
     code_of = {f: cats.column(f) for f in names}
+    radix = {f: len(cats.levels[f]) + 1 for f in names}
     singles: dict[str, ContingencyTable] = {}
     ces: dict[tuple[str, ...], float] = {}
     drops: dict[tuple[str, ...], float] = {}
@@ -199,9 +211,19 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     for order in range(1, max_order + 1):
         records = []
         worst = 0
+        prefix: tuple[str, ...] = ()
         for fset in itertools.combinations(names, order):
-            fused = (code_of[fset[0]] if order == 1
-                     else _fuse_codes([code_of[f] for f in fset]))
+            if order == 1:
+                fused = code_of[fset[0]]
+            elif order == 2:
+                a, b = fset
+                fused = code_of[a] * radix[b] + code_of[b]
+            else:
+                a, b, c = fset
+                if fset[:2] != prefix:  # combinations() varies c fastest
+                    prefix = fset[:2]
+                    _, pair = _compact(code_of[a] * radix[b] + code_of[b])
+                fused = pair * radix[c] + code_of[c]
             table = table_from_binned(masses, fused)
             worst = max(worst, table.cells.shape[0])
             ce, _ = conditional_entropy(table)
@@ -212,7 +234,6 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
                 singles[fset[0]] = table
                 rec = AssociationRecord(fset, ce, drop, sce_drop=drop)
             elif order == 2:
-                a, b = fset
                 sce = sce_drop(h_response, ce, ces[(a,)], ces[(b,)])
                 minor = min(drops[(a,)], drops[(b,)])
                 i_ab = mutual_information(
@@ -299,7 +320,11 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     tiled once per replicate build all the block's tables at once, and each
     replicate's CE is the mass-weighted mean of its rows' entropies.  The
     edges and codes are those of :func:`equal_width_bins` and
-    :func:`categorize` on each replicate alone.
+    :func:`categorize` on each replicate alone: every draw reaches the first
+    edge and only the maximum reaches the last, which :func:`categorize`
+    clips to bin ``n_bins`` anyway, so a code is one plus the count of
+    inner edges at or below the draw, counted in the narrowest unsigned
+    integer that holds ``n_bins``.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
@@ -320,6 +345,8 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     streams = np.random.SeedSequence(seed).spawn(n_rep)
     block = min(n_rep, max(1, _NULL_BLOCK_ELEMENTS // n))
     noise = np.empty((block, n))
+    below = np.empty((block, n), dtype=np.min_scalar_type(n_bins))
+    hit = np.empty((block, n), dtype=bool)
     tiled = np.tile(masses, (1, block))  # row b: masses[b] once per replicate
     out = np.empty(n_rep)
     for first in range(0, n_rep, block):
@@ -333,13 +360,16 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
         edges = np.linspace(lo, hi, n_bins + 1, axis=1)
         if not np.all(np.diff(edges, axis=1) > 0):
             raise ValueError("edges must be strictly increasing")
-        # categorize(): the count of edges <= value, clipped to 1..n_bins
-        codes = np.zeros((r, n), dtype=np.int64)
-        for e in edges.T:
-            codes += e[:, None] <= x
-        np.clip(codes, 1, n_bins, out=codes)
-        codes += np.arange(r)[:, None] * n_bins - 1
-        cell_codes, index = _compact((codes * n_anchor + anchor).ravel())
+        # categorize() minus 1: the count of inner edges <= value
+        count = below[:r]
+        count.fill(0)
+        for e in edges[:, 1:-1].T:
+            count += np.less_equal(e[:, None], x, out=hit[:r])
+        codes = count.astype(np.int64)
+        codes += np.arange(r)[:, None] * n_bins
+        codes *= n_anchor
+        codes += anchor
+        cell_codes, index = _compact(codes.ravel())
         cells = _mass_cells(index, tiled[:, :r * n], cell_codes.size)
         mass = cells.sum(axis=1)
         rep = cell_codes // (n_bins * n_anchor)

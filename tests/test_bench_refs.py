@@ -1,9 +1,9 @@
 """The CLI reproduces the benchmark's reference outputs.
 
-Each benchmarked workload's input is simulated at the reference seed and its
-command run in process, with the arguments ``bench/run.py`` uses; the outputs
-must pass ``bench/check.py``'s invariants and match ``bench/refs`` within its
-tolerances.
+Each benchmarked workload's input is simulated at seeds 0 (the reference
+seed) and 1 and its command run in process, with the arguments
+``bench/run.py`` uses; the outputs must pass ``bench/check.py``'s invariants
+and match ``bench/refs`` within its tolerances.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from survent.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SEED = "0"
 
 
 def _workloads() -> dict:
@@ -46,12 +45,15 @@ check = _check_module()
 
 
 @pytest.mark.filterwarnings("ignore:.*composite categories:UserWarning")
-@pytest.mark.parametrize("workload", ["analyze-3k", "screen-10k"])
-def test_outputs_match_reference(workload, tmp_path):
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(workload, seed,
+                 id=workload if seed == "0" else f"{workload}-seed{seed}")
+    for seed in ("0", "1") for workload in ("analyze-3k", "screen-10k")])
+def test_outputs_match_reference(workload, seed, tmp_path):
     n, censor_rate, command = WORKLOADS[workload]
     data = tmp_path / "data.csv"
     assert main(["simulate", "--n", str(n), "--censor-rate", str(censor_rate),
-                 "--seed", SEED, "--out", str(data)]) == 0
+                 "--seed", seed, "--out", str(data)]) == 0
     with open(data, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh))
     config = tmp_path / "config.json"
@@ -60,9 +62,9 @@ def test_outputs_match_reference(workload, tmp_path):
         "features": header[3:]}), encoding="utf-8")
     out = tmp_path / "out"
     assert main([command[0], "--input", str(data), "--config", str(config),
-                 "--outdir", str(out), "--seed", SEED, *command[1:]]) == 0
+                 "--outdir", str(out), "--seed", seed, *command[1:]]) == 0
 
     dig = check.digest(out)
     assert check.invariants(out, dig) == []
     refs = check.load_refs(BENCH / "refs" / f"{workload}.json")
-    assert check.compare(dig, refs[SEED]) == []
+    assert check.compare(dig, refs[seed]) == []

@@ -218,6 +218,9 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
     ("analyze", ["--expand", "V7:V3"]),
     ("mfs", ["--config", "{tmp}/repeated.json"]),
     ("mfs", ["--config", "{tmp}/unsorted.json"]),
+    ("mfs", ["--config", "{tmp}/unknown_bins.json"]),
+    ("mfs", ["--config", "{tmp}/unknown_kind.json"]),
+    ("mfs", ["--config", "{tmp}/unlisted_kind.json"]),
 ])
 def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
                                                opts, capsys):
@@ -228,6 +231,13 @@ def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
         json.dumps({**cfg, "features": ["V1", "V1"]}))
     (tmp_path / "unsorted.json").write_text(
         json.dumps({**cfg, "bins": {"V2": [0.5, 0.2, 0.8]}}))
+    (tmp_path / "unknown_bins.json").write_text(
+        json.dumps({**cfg, "bins": {"V99": [0, 1, 2]}}))
+    (tmp_path / "unknown_kind.json").write_text(
+        json.dumps({**cfg, "kinds": {"V1": "weird"}}))
+    (tmp_path / "unlisted_kind.json").write_text(
+        json.dumps({**cfg, "features": ["V1", "V2"],
+                    "kinds": {"V9": "categorical"}}))
     outdir = tmp_path / "out"
     if command == "simulate":
         given = ["--out", str(outdir / "sim.csv")]

@@ -56,6 +56,19 @@ def test_run_mfs_peak_keeps_no_composite_tables(sample):
     assert peak < 5 * MiB
 
 
+def test_run_mfs_peak_holds_no_per_feature_codes(sample):
+    # on given masses the screen peaks at about 0.6 MiB here; one int64
+    # copy of each feature's codes alone would add 0.76 MiB
+    scheme = equal_width_bins(sample.y, 10)
+    masses, _ = binned_row_masses(sample.y, sample.delta, scheme)
+    cats = categorize_features(sample, n_bins=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # order-3 size guard
+        peak = traced_peak(run_mfs, sample, scheme, cats=cats, max_order=3,
+                           masses=masses)
+    assert peak < 1 * MiB
+
+
 def test_table_from_binned_peak_has_no_cell_index(sample):
     # an n x k int64 cell index alone would be 0.76 MiB here
     scheme = equal_width_bins(sample.y, 10)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survent import (
+    AssociationRecord,
     Dataset,
     DegenerateRangeError,
     assign_code_ids,
@@ -15,17 +19,28 @@ from survent import (
     categorize_features,
     ce_expansion,
     conditional_entropy,
+    conditional_mutual_information,
     equal_width_bins,
+    explicit_bins,
     fuse_categories,
     mce_matrix,
+    mutual_information,
     reliability_null,
     run_mfs,
     subdivide,
     table_from_binned,
+    table_plain,
+)
+from survent.contingency import _fuse_codes
+from survent.entropy import (
+    _entropy_of_counts,
+    ecological_effect,
+    interacting_flag,
+    sce_drop,
 )
 from survent.redistribution import binned_row_masses
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, make_tied_dataset
 
 
 def planted_dataset(seed: int = 0, n: int = 1500) -> Dataset:
@@ -118,6 +133,110 @@ def test_triplet_sce_vs_best_subpair(planted):
                        (rec.features[1], rec.features[2]),
                    ))
         assert rec.sce_drop == pytest.approx(rec.ce_drop - best, abs=1e-12)
+
+
+def mfs_per_set_fusion(ds, scheme, cats, features):
+    """Every order-1 to 3 record with each set's codes fused on their own by
+    ``_fuse_codes``: the reference construction of :func:`run_mfs`."""
+    masses, _ = binned_row_masses(ds.y, ds.delta, scheme)
+    h = _entropy_of_counts(
+        table_from_binned(masses, np.zeros(ds.n, np.int64)).cells[0])
+    singles, ces, drops, reports = {}, {}, {}, {}
+    for order in (1, 2, 3):
+        records = []
+        for fset in itertools.combinations(features, order):
+            table = table_from_binned(
+                masses, _fuse_codes([cats.column(f) for f in fset]))
+            ce, _ = conditional_entropy(table)
+            ces[fset], drops[fset] = ce, h - ce
+            if order == 1:
+                singles[fset[0]] = table
+                records.append(AssociationRecord(fset, ce, h - ce, h - ce))
+                continue
+            if order == 2:
+                a, b = fset
+                sce = sce_drop(h, ce, ces[(a,)], ces[(b,)])
+                minor = min(drops[(a,)], drops[(b,)])
+                eco, flag = ecological_effect(
+                    conditional_mutual_information(singles[a], singles[b],
+                                                   table),
+                    mutual_information(table_plain(cats.column(a),
+                                                   cats.column(b))))
+            else:
+                pairs = list(itertools.combinations(fset, 2))
+                best = max(pairs, key=lambda p: drops[p])
+                sce = sce_drop(h, ce, *(ces[p] for p in pairs))
+                minor = drops[tuple(f for f in fset if f not in best)]
+                eco = h - ce - drops[best] - minor
+                flag = eco > 1e-12
+            records.append(AssociationRecord(
+                fset, ce, h - ce, sce, ecological=eco, ecological_flag=flag,
+                interacting=interacting_flag(sce, minor, flag)))
+        records.sort(key=lambda r: (r.ce, r.features))
+        reports[order] = records
+    return h, reports
+
+
+# explicit edges whose third and last levels stay empty on Uniform[0, 1)
+SPARSE_EDGES = (0.0, 0.25, 0.5, 0.5 + 1e-9, 1.0, 2.0)
+FEATURE_KINDS = ("continuous", "categorical", "constant", "explicit")
+
+
+def fusion_case(n, seed, kinds, n_bins):
+    """A sample whose features are continuous (``n_bins`` equal-width bins),
+    categorical on non-contiguous raw values, constant, or binned on
+    ``SPARSE_EDGES``; returns it with its feature schemes and time scheme."""
+    ds = make_random_dataset(seed, n=n, n_features=len(kinds))
+    rng = np.random.default_rng(seed)
+    X = np.array(ds.X)
+    raw = np.array([-7.0, 0.0, 3.0, 40.0, 1000.0])
+    for j, kind in enumerate(kinds):
+        if kind == "categorical":
+            X[:, j] = rng.choice(raw[:int(rng.integers(1, 6))], n)
+        elif kind == "constant":
+            X[:, j] = 2.5
+    ds = Dataset(y=ds.y, delta=ds.delta, X=X,
+                 feature_kinds=["categorical" if k == "categorical"
+                                else "continuous" for k in kinds])
+    schemes = {f"V{j + 1}": explicit_bins(SPARSE_EDGES)
+               for j, kind in enumerate(kinds) if kind == "explicit"}
+    return ds, schemes, equal_width_bins([ds.y.min(), ds.y.max() + 1], 4)
+
+
+MIXED = ("continuous", "categorical", "constant", "explicit", "continuous")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 80), seed=st.integers(0, 2 ** 16),
+       kinds=st.lists(st.sampled_from(FEATURE_KINDS), min_size=1,
+                      max_size=4),
+       n_bins=st.integers(2, 6), split=st.booleans())
+@example(n=17, seed=1, kinds=MIXED, n_bins=4, split=False)
+@example(n=300, seed=2, kinds=MIXED, n_bins=10, split=False)
+@example(n=3000, seed=3, kinds=MIXED, n_bins=10, split=False)
+@example(n=300, seed=4, kinds=("categorical", *MIXED), n_bins=4, split=True)
+@example(n=3000, seed=5, kinds=("explicit", *MIXED), n_bins=4, split=True)
+def test_run_mfs_matches_per_set_fusion(n, seed, kinds, n_bins, split):
+    # pair codes straight from the category codes, and each pair compacted
+    # once for all of its triples, rank exactly as per-set fusion does;
+    # ``split`` runs the sub-collections of the first feature instead
+    ds, schemes, scheme = fusion_case(n, seed, kinds, n_bins)
+    cats = categorize_features(ds, n_bins=n_bins, schemes=schemes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty levels, sizes
+        collections = [(ds, cats, cats.names)]
+        if split:
+            collections = [(sub, categorize_features(sub, n_bins=n_bins,
+                                                     schemes=schemes),
+                            cats.names[1:])
+                           for _, sub in subdivide(ds, cats, cats.names[0])]
+        for sub, sub_cats, names in collections:
+            reports = run_mfs(sub, scheme, cats=sub_cats, max_order=3,
+                              features=names)
+            h, expected = mfs_per_set_fusion(sub, scheme, sub_cats, names)
+            for order in (1, 2, 3):
+                assert reports[order].h_response == h
+                assert reports[order].records == expected[order]
 
 
 def test_independent_response_all_drops_in_noise_band():
@@ -217,14 +336,36 @@ def null_case(n: int):
     return ds, equal_width_bins(ds.y[ds.delta == 1], 4)
 
 
+class QuarterRng:
+    """``np.random.default_rng`` with its uniform draws rounded to quarters,
+    so the noise ties at its maximum and lands on bin edges."""
+
+    make = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self.rng = self.make(seed)
+
+    def uniform(self, low, high, size):
+        return np.round(self.rng.uniform(low, high, size) * 4) / 4
+
+
 @pytest.mark.parametrize("n_rep", [1, 7, 200])
 @pytest.mark.parametrize("anchor_set", [(), ("V2",), ("V1", "V2", "V3")],
                          ids=["no-anchor", "anchor1", "anchor3"])
-@pytest.mark.parametrize("n_bins", [4, 10])
-@pytest.mark.parametrize("n", [17, 300, 3000])
+@pytest.mark.parametrize("n, n_bins", [
+    (n, n_bins) for n in (17, 300, 3000, "tied-max") for n_bins in (4, 10, 300)
+    if (n, n_bins) != (3000, 300)])
 def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor_set,
-                                                       n_rep):
-    ds, scheme = null_case(n)
+                                                       n_rep, monkeypatch):
+    # n_bins=300 counts edges in a 2-byte accumulator (its oracle takes
+    # seconds at n=3000); "tied-max" draws quarter-rounded noise on a
+    # sample with tied times at its maximum
+    if n == "tied-max":
+        ds = make_tied_dataset(5, 300)
+        scheme = equal_width_bins(ds.y, 4)
+        monkeypatch.setattr(np.random, "default_rng", QuarterRng)
+    else:
+        ds, scheme = null_case(n)
     cats = categorize_features(ds, n_bins=n_bins)
     null = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
                             n_rep=n_rep, n_bins=n_bins, seed=n_rep)
