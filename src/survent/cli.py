@@ -25,9 +25,10 @@ neither the time column nor a listed feature, and a ``kinds`` entry that
 names no listed feature or a kind other than ``continuous`` and
 ``categorical`` included), an unreadable input, a feature named by
 ``--subdivide``, ``--expand`` or ``--features`` that the config does not
-list, ``analyze --expand`` without ``--subdivide``, and invalid
-``simulate`` settings; all of them are found before any output is
-written.
+list, ``analyze --expand`` without ``--subdivide``, ``--time-bins`` or
+``--feature-bins`` below 2, ``--n-sim`` below 1, a negative
+``--reliability``, and invalid ``simulate`` settings; all of them are found
+before any output is written.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +53,8 @@ from .coxph import fit as cox_fit
 from .data import ColumnConfig, ConfigError, Dataset, ingest_csv
 from .mfs import (
     CategorizedFeatures,
+    CEExpansion,
+    _response_entropy,
     categorize_features,
     ce_expansion,
     mce_matrix,
@@ -101,6 +105,11 @@ class Manifest:
             "outputs": {},
         }
         opts = vars(args)
+        for option, least in (("time_bins", 2), ("feature_bins", 2),
+                              ("n_sim", 1), ("reliability", 0)):
+            if opts.get(option, least) < least:
+                raise UsageError(f"--{option.replace('_', '-')} must be at "
+                                 f"least {least}")
         if opts.get("expand") and not opts.get("subdivide"):
             raise UsageError("--expand needs --subdivide")
         if "input" in opts:
@@ -164,8 +173,8 @@ class Manifest:
                    if name != self.config.time}
         cats = categorize_features(dataset, n_bins=self.args.feature_bins,
                                    schemes=schemes)
-        collection = dataset.meta.get("subcollection") or "whole sample"
-        self.record.setdefault("clamps", {})[collection] = dict(cats.clamps)
+        self.record.setdefault("clamps", {})[_collection(dataset)] = dict(
+            cats.clamps)
         return cats
 
     @cached_property
@@ -219,6 +228,10 @@ class Manifest:
             json.dump(self.record, fh, indent=2)
 
 
+def _collection(dataset: Dataset) -> str:
+    return dataset.meta.get("subcollection") or "whole sample"
+
+
 def cmd_simulate(run: Manifest) -> str:
     args = run.args
     try:
@@ -254,22 +267,29 @@ def cmd_mfs(run: Manifest, dataset: Dataset | None = None,
     """Ranked feature sets (and the reliability null with
     ``--reliability``) of the whole sample, or of the sub-collection
     ``dataset`` with its ``cats`` and ``masses``, under ``where``.  The
-    ranking and the null share one binned mass table."""
+    ranking and the null share one binned mass table.  A collection of
+    fewer than 2 records has no noise range: its null is header-only."""
     args = run.args
     if dataset is None:
         dataset, cats, masses = run.dataset, run.cats, run.masses
     reports = run_mfs(dataset, run.scheme, cats=cats, max_order=args.max_order,
                       features=features, masses=masses)
     if args.reliability > 0:
-        null = reliability_null(dataset, run.scheme, cats=cats,
-                                n_rep=args.reliability,
-                                n_bins=args.feature_bins, seed=args.seed,
-                                masses=masses)
-        for rec in reports[1].records:
-            rec.reliability_p = null.p_value(rec.ce)
+        ces = []
+        if dataset.n < 2:
+            warnings.warn(f"{_collection(dataset)}: fewer than 2 records; "
+                          "reliability null skipped", stacklevel=2)
+        else:
+            null = reliability_null(dataset, run.scheme,
+                                    n_rep=args.reliability,
+                                    n_bins=args.feature_bins, seed=args.seed,
+                                    masses=masses)
+            for rec in reports[1].records:
+                rec.reliability_p = null.p_value(rec.ce)
+            ces = null.ces
         run.write_rows(where / "reliability_null.csv",
                        [{"replicate": i + 1, "ce": repr(float(v))}
-                        for i, v in enumerate(null.ces)], ["replicate", "ce"])
+                        for i, v in enumerate(ces)], ["replicate", "ce"])
     for order, report in reports.items():
         run.write_rows(where / f"mfs_order{order}.csv", report.to_rows(),
                        report.COLUMNS)
@@ -286,11 +306,16 @@ def cmd_subdivide(run: Manifest) -> None:
         masses, _ = binned_row_masses(sub.y, sub.delta, run.scheme)
         cmd_mfs(run, sub, cats, where, features=rest, masses=masses)
         if run.args.expand:
-            base, extensions = run.args.expand
-            exp = ce_expansion(sub, run.scheme, cats, base, extensions,
-                               masses=masses)
-            run.write_rows(where / "ce_expansion.csv", exp.to_rows(),
-                           exp.COLUMNS)
+            rows = []
+            if _response_entropy(masses) <= 0:
+                warnings.warn(f"{_collection(sub)}: response has zero "
+                              "entropy; ce_expansion skipped", stacklevel=2)
+            else:
+                base, extensions = run.args.expand
+                rows = ce_expansion(sub, run.scheme, cats, base, extensions,
+                                    masses=masses).to_rows()
+            run.write_rows(where / "ce_expansion.csv", rows,
+                           CEExpansion.COLUMNS)
 
 
 def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:

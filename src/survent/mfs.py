@@ -28,7 +28,6 @@ from .binning import BinningScheme, DegenerateRangeError, categorize, equal_widt
 from .contingency import (
     ContingencyTable,
     _compact,
-    _fuse_codes,
     _mass_cells,
     fuse_categories,
     table_from_binned,
@@ -161,6 +160,13 @@ class MFSReport:
         }
 
 
+def _response_entropy(masses: np.ndarray) -> float:
+    """Entropy of the response margin: the one-row table of a collection's
+    (k, n) :func:`binned_row_masses` layout."""
+    return _entropy_of_counts(
+        _mass_cells(np.zeros(masses.shape[1], np.int64), masses, 1)[0])
+
+
 def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             cats: CategorizedFeatures | None = None,
             max_order: int = 2,
@@ -199,8 +205,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     names = list(features) if features is not None else list(cats.names)
     if masses is None:
         masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
-    h_response = _entropy_of_counts(
-        _mass_cells(np.zeros(dataset.n, np.int64), masses, 1)[0])
+    h_response = _response_entropy(masses)
 
     code_of = {f: cats.column(f) for f in names}
     radix = {f: len(cats.levels[f]) + 1 for f in names}
@@ -277,10 +282,6 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     return reports
 
 
-# draws held at once by reliability_null: bounds its memory, not its results
-_NULL_BLOCK_ELEMENTS = 2 ** 15
-
-
 @dataclass
 class ReliabilityNull:
     """Empirical null of conditional entropies from synthetic noise features."""
@@ -288,7 +289,6 @@ class ReliabilityNull:
     ces: np.ndarray
     n_rep: int
     n_bins: int
-    anchor: tuple[str, ...] = ()
 
     def p_value(self, ce_observed: float) -> float:
         """Fraction of null CEs at or below the observed one (small means
@@ -297,87 +297,54 @@ class ReliabilityNull:
 
 
 def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
-                     cats: CategorizedFeatures | None = None,
-                     anchor_set: Sequence[str] = (),
-                     n_rep: int = 200,
-                     n_bins: int = 4,
-                     seed: int = 0,
+                     n_rep: int = 200, n_bins: int = 4, seed: int = 0,
                      masses: np.ndarray | None = None) -> ReliabilityNull:
     """Null CE distribution from ``n_rep`` synthetic uniform features.
 
     Each replicate draws a fresh Uniform[0, 1] feature, bins it like a real
-    covariate (``n_bins`` equal-width bins over its own range), optionally
-    fuses it with the anchor features, and evaluates the conditional entropy
-    on the same weight structure as the observed analysis.  Replicate ``i``
-    owns the RNG substream spawned at index ``i``, so results do not depend
-    on execution order.  ``masses`` is the collection's (k, n)
-    :func:`binned_row_masses` layout, built here when omitted.
+    covariate (``n_bins`` equal-width bins over its own range), and
+    evaluates the conditional entropy on the same weight structure as the
+    observed analysis.  Replicate ``i`` owns the RNG substream spawned at
+    index ``i``, so results do not depend on execution order.  ``masses``
+    is the collection's (k, n) :func:`binned_row_masses` layout, built here
+    when omitted.
 
-    Replicates run in blocks of ``max(1, 2**15 // n)``, so a block's draws
-    fill at most 2**15 elements (one replicate when n is larger).  Within a
-    block every (replicate, noise bin, anchor level) triple is one integer
-    code; one compaction and one :func:`_mass_cells` table over the masses
-    tiled once per replicate build all the block's tables at once, and each
-    replicate's CE is the mass-weighted mean of its rows' entropies.  The
-    edges and codes are those of :func:`equal_width_bins` and
-    :func:`categorize` on each replicate alone: every draw reaches the first
-    edge and only the maximum reaches the last, which :func:`categorize`
-    clips to bin ``n_bins`` anyway, so a code is one plus the count of
-    inner edges at or below the draw, counted in the narrowest unsigned
-    integer that holds ``n_bins``.
+    Replicates run one at a time.  Each one's (``n_bins``, k) table is one
+    :func:`_mass_cells` call on the shared mass rows, and all CEs come from
+    the tables' row entropies at the end; empty noise bins add exact zeros.
+    Memory is O(n + n_rep * n_bins * k).  Edges and codes are those of
+    :func:`equal_width_bins` and :func:`categorize`: only the maximum
+    reaches the last edge, which :func:`categorize` clips to bin ``n_bins``
+    anyway, so a code is one plus the count of inner edges at or below the
+    draw, counted in the narrowest unsigned integer that holds ``n_bins``.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
-    anchor_set = tuple(anchor_set)
-    n = dataset.n
-    if anchor_set:
-        if cats is None:
-            cats = categorize_features(dataset, n_bins=n_bins)
-        anchor = _fuse_codes([cats.column(f) for f in anchor_set])
-        n_anchor = int(anchor.max()) + 1
-    else:
-        anchor = np.zeros(n, dtype=np.int64)
-        n_anchor = 1
     if masses is None:
         masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
-    streams = np.random.SeedSequence(seed).spawn(n_rep)
-    block = min(n_rep, max(1, _NULL_BLOCK_ELEMENTS // n))
-    noise = np.empty((block, n))
-    below = np.empty((block, n), dtype=np.min_scalar_type(n_bins))
-    hit = np.empty((block, n), dtype=bool)
-    tiled = np.tile(masses, (1, block))  # row b: masses[b] once per replicate
-    out = np.empty(n_rep)
-    for first in range(0, n_rep, block):
-        r = min(block, n_rep - first)
-        x = noise[:r]
-        for j in range(r):
-            x[j] = np.random.default_rng(streams[first + j]).uniform(0.0, 1.0, n)
-        lo, hi = x.min(axis=1), x.max(axis=1)
-        if not np.all(lo < hi):
+    count = np.empty(dataset.n, dtype=np.min_scalar_type(n_bins))
+    cells = np.empty((n_rep, n_bins, masses.shape[0]))
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_rep)):
+        x = np.random.default_rng(stream).uniform(0.0, 1.0, dataset.n)
+        lo, hi = x.min(), x.max()
+        if not lo < hi:
             raise DegenerateRangeError("all values equal; bin width would be zero")
-        edges = np.linspace(lo, hi, n_bins + 1, axis=1)
-        if not np.all(np.diff(edges, axis=1) > 0):
+        edges = np.linspace(lo, hi, n_bins + 1)
+        if not (edges[1:] > edges[:-1]).all():
             raise ValueError("edges must be strictly increasing")
-        # categorize() minus 1: the count of inner edges <= value
-        count = below[:r]
-        count.fill(0)
-        for e in edges[:, 1:-1].T:
-            count += np.less_equal(e[:, None], x, out=hit[:r])
-        codes = count.astype(np.int64)
-        codes += np.arange(r)[:, None] * n_bins
-        codes *= n_anchor
-        codes += anchor
-        cell_codes, index = _compact(codes.ravel())
-        cells = _mass_cells(index, tiled[:, :r * n], cell_codes.size)
-        mass = cells.sum(axis=1)
-        rep = cell_codes // (n_bins * n_anchor)
-        out[first:first + r] = (
-            np.bincount(rep, weights=mass * _entropies_of_rows(cells),
-                        minlength=r)
-            / np.bincount(rep, weights=mass, minlength=r))
-    return ReliabilityNull(out, n_rep=n_rep, n_bins=n_bins, anchor=anchor_set)
+        count.fill(0)  # categorize() minus 1
+        for e in edges[1:-1]:
+            count += e <= x
+        cells[i] = _mass_cells(count, masses, n_bins)
+    cells = cells.reshape(n_rep * n_bins, -1)
+    mass = cells.sum(axis=1)
+    rep = np.repeat(np.arange(n_rep), n_bins)
+    ces = (np.bincount(rep, weights=mass * _entropies_of_rows(cells),
+                       minlength=n_rep)
+           / np.bincount(rep, weights=mass, minlength=n_rep))
+    return ReliabilityNull(ces, n_rep=n_rep, n_bins=n_bins)
 
 
 def subdivide(dataset: Dataset, cats: CategorizedFeatures,
@@ -504,8 +471,7 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
     """
     if masses is None:
         masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
-    h_resp = _entropy_of_counts(
-        _mass_cells(np.zeros(dataset.n, np.int64), masses, 1)[0])
+    h_resp = _response_entropy(masses)
     if h_resp <= 0:
         raise ValueError("response has zero entropy in this collection")
     dots: list[ExpansionDot] = []

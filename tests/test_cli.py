@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from survent import (
@@ -221,6 +223,10 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
     ("mfs", ["--config", "{tmp}/unknown_bins.json"]),
     ("mfs", ["--config", "{tmp}/unknown_kind.json"]),
     ("mfs", ["--config", "{tmp}/unlisted_kind.json"]),
+    ("analyze", ["--n-sim", "0"]),
+    ("mfs", ["--time-bins", "1"]),
+    ("mfs", ["--feature-bins", "1"]),
+    ("mfs", ["--reliability", "-5"]),
 ])
 def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
                                                opts, capsys):
@@ -357,8 +363,6 @@ def test_reports_match_csv_writer(sim_files, tmp_path):
     """``mce_matrix.csv`` and ``ce_expansion.csv`` go through the run's row
     writer; their bytes are those of a plain ``csv.writer`` on the same
     results."""
-    import csv
-
     data, config = sim_files
     outdir = tmp_path / "out"
     rc = main(["analyze", "--input", str(data), "--config", str(config),
@@ -438,3 +442,59 @@ def test_analyze_one_feature(sim_files, tmp_path, opts):
     listed = {str(Path(p).relative_to(outdir)): d
               for p, d in manifest["outputs"].items()}
     assert listed == _files(outdir)
+
+
+def _three_feature_files(tmp_path, last: list[tuple[float, int]]):
+    """75 records in V1 = 1..3 with mixed statuses, then the (time, status)
+    records of ``last`` in V1 = 4; V2 and V3 are uniform."""
+    rng = np.random.default_rng(3)
+    rows = [(t, int(s), v1) for t, s, v1 in zip(
+        rng.uniform(1, 10, 75), rng.uniform(size=75) < 0.7,
+        np.repeat([1, 2, 3], 25))] + [(t, s, 4) for t, s in last]
+    data = tmp_path / "three.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "time", "status", "V1", "V2", "V3"])
+        for i, (t, s, v1) in enumerate(rows):
+            writer.writerow([i, repr(float(t)), s, v1, *rng.uniform(size=2)])
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps({
+        "time": "time", "status": "status", "id": "id",
+        "features": ["V1", "V2", "V3"], "kinds": {"V1": "categorical"}}))
+    return data, config
+
+
+@pytest.mark.filterwarnings("ignore:.*may be unstable")
+def test_zero_entropy_subcollection_has_header_only_expansion(tmp_path):
+    rng = np.random.default_rng(4)
+    data, config = _three_feature_files(
+        tmp_path, [(t, 0) for t in rng.uniform(1, 10, 25)])
+    outdir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="V1=4: response has zero entropy"):
+        rc = main(["analyze", "--input", str(data), "--config", str(config),
+                   "--outdir", str(outdir), "--no-cox", "--n-sim", "50",
+                   "--subdivide", "V1", "--expand", "V2:V3"])
+    assert rc == 0
+    assert (outdir / "V1=4" / "ce_expansion.csv").read_bytes() == (
+        b"series,category,rescaled_ce,raw_ce,mass,dominant_response\r\n")
+    assert len((outdir / "V1=3" / "ce_expansion.csv").read_bytes()
+               .splitlines()) > 1
+    assert (outdir / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*may be unstable")
+def test_one_record_subcollection_has_header_only_null(tmp_path):
+    data, config = _three_feature_files(tmp_path, [(5.0, 1)])
+    outdir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="V1=4: fewer than 2 records"):
+        rc = main(["analyze", "--input", str(data), "--config", str(config),
+                   "--outdir", str(outdir), "--no-cox", "--n-sim", "50",
+                   "--subdivide", "V1", "--reliability", "20"])
+    assert rc == 0
+    assert (outdir / "V1=4" / "reliability_null.csv").read_bytes() == (
+        b"replicate,ce\r\n")
+    with open(outdir / "V1=4" / "mfs_order1.csv", encoding="utf-8") as fh:
+        assert [r["reliability_p"] for r in csv.DictReader(fh)] == ["", ""]
+    with open(outdir / "V1=3" / "mfs_order1.csv", encoding="utf-8") as fh:
+        assert all(r["reliability_p"] for r in csv.DictReader(fh))
+    assert (outdir / "manifest.json").exists()

@@ -15,6 +15,7 @@ from survent import (
     equal_width_bins,
     generate,
     ingest_csv,
+    reliability_null,
     run_mfs,
     table_from_binned,
 )
@@ -75,3 +76,13 @@ def test_table_from_binned_peak_has_no_cell_index(sample):
     masses, _ = binned_row_masses(sample.y, sample.delta, scheme)
     codes = categorize_features(sample, n_bins=10).column("V1")
     assert traced_peak(table_from_binned, masses, codes) < 0.5 * MiB
+
+
+def test_reliability_null_peak_holds_one_replicate(sample):
+    # one replicate's draws at a time plus the 200 x 10 x 10 cells; copying
+    # the mass rows once per replicate of a block was 3.65 MiB here
+    scheme = equal_width_bins(sample.y, 10)
+    masses, _ = binned_row_masses(sample.y, sample.delta, scheme)
+    peak = traced_peak(reliability_null, sample, scheme, n_rep=200,
+                       n_bins=10, masses=masses)
+    assert peak < 1 * MiB

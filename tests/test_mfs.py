@@ -22,7 +22,6 @@ from survent import (
     conditional_mutual_information,
     equal_width_bins,
     explicit_bins,
-    fuse_categories,
     mce_matrix,
     mutual_information,
     reliability_null,
@@ -285,18 +284,6 @@ def test_reliability_null_fresh_draw_calibration():
     assert ks < 0.1
 
 
-def test_reliability_null_with_anchor(planted):
-    ds, scheme = planted
-    cats = categorize_features(ds, n_bins=4)
-    null = reliability_null(ds, scheme, cats=cats, anchor_set=("V1",),
-                            n_rep=50, seed=2)
-    reports = run_mfs(ds, scheme, cats=cats, max_order=1)
-    ce_v1 = reports[1].record_for(["V1"]).ce
-    # fusing noise onto the anchor can only reduce the plug-in CE below the
-    # anchor's own
-    assert np.all(null.ces <= ce_v1 + 1e-12)
-
-
 def tiny_degenerate_subcollection(n_features: int = 2):
     """17 records with a single event, and a time scheme it barely fills."""
     rng = np.random.default_rng(0)
@@ -314,16 +301,13 @@ def test_reliability_null_tiny_degenerate_subcollection():
     assert np.all(np.isfinite(null.ces))
 
 
-def null_per_replicate(ds, scheme, cats, anchor_set, n_rep, n_bins, seed):
+def null_per_replicate(ds, scheme, n_rep, n_bins, seed):
     """The null built one table per replicate: the reference construction."""
     B, _ = binned_row_masses(ds.y, ds.delta, scheme)
-    anchor_codes = [cats.column(f) for f in anchor_set]
     out = []
     for stream in np.random.SeedSequence(seed).spawn(n_rep):
         noise = np.random.default_rng(stream).uniform(0.0, 1.0, ds.n)
         codes, _ = categorize(noise, equal_width_bins(noise, n_bins))
-        if anchor_codes:
-            codes, _ = fuse_categories([codes, *anchor_codes])
         ce, _ = conditional_entropy(table_from_binned(B, codes))
         out.append(ce)
     return np.array(out)
@@ -350,12 +334,11 @@ class QuarterRng:
 
 
 @pytest.mark.parametrize("n_rep", [1, 7, 200])
-@pytest.mark.parametrize("anchor_set", [(), ("V2",), ("V1", "V2", "V3")],
-                         ids=["no-anchor", "anchor1", "anchor3"])
+@pytest.mark.parametrize("anchor", ["no-anchor"])  # one value: it keeps the ids
 @pytest.mark.parametrize("n, n_bins", [
     (n, n_bins) for n in (17, 300, 3000, "tied-max") for n_bins in (4, 10, 300)
     if (n, n_bins) != (3000, 300)])
-def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor_set,
+def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor,
                                                        n_rep, monkeypatch):
     # n_bins=300 counts edges in a 2-byte accumulator (its oracle takes
     # seconds at n=3000); "tied-max" draws quarter-rounded noise on a
@@ -366,28 +349,20 @@ def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor_set,
         monkeypatch.setattr(np.random, "default_rng", QuarterRng)
     else:
         ds, scheme = null_case(n)
-    cats = categorize_features(ds, n_bins=n_bins)
-    null = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
-                            n_rep=n_rep, n_bins=n_bins, seed=n_rep)
-    expected = null_per_replicate(ds, scheme, cats, anchor_set, n_rep,
-                                  n_bins, seed=n_rep)
+    null = reliability_null(ds, scheme, n_rep=n_rep, n_bins=n_bins,
+                            seed=n_rep)
+    expected = null_per_replicate(ds, scheme, n_rep, n_bins, seed=n_rep)
     assert null.ces.shape == (n_rep,)
     np.testing.assert_allclose(null.ces, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, k", [(300, 150), (3000, 15)])
 def test_reliability_null_prefix_is_independent_of_blocks(n, k):
-    # k replicates split into blocks differently than 200 do, and k spans
-    # more than one block of 2**15 // n replicates
-    assert k > 2 ** 15 // n
+    # the first k replicates do not depend on how many follow them
     ds, scheme = null_case(n)
-    cats = categorize_features(ds, n_bins=4)
-    for anchor_set in [(), ("V1", "V3")]:
-        full = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
-                                n_rep=200, seed=4)
-        head = reliability_null(ds, scheme, cats=cats, anchor_set=anchor_set,
-                                n_rep=k, seed=4)
-        assert np.array_equal(head.ces, full.ces[:k])
+    full = reliability_null(ds, scheme, n_rep=200, seed=4)
+    head = reliability_null(ds, scheme, n_rep=k, seed=4)
+    assert np.array_equal(head.ces, full.ces[:k])
 
 
 def test_reliability_null_error_paths():
