@@ -22,6 +22,7 @@ from survent import (
     conditional_mutual_information,
     equal_width_bins,
     explicit_bins,
+    fuse_categories,
     mce_matrix,
     mutual_information,
     reliability_null,
@@ -333,27 +334,50 @@ class QuarterRng:
         return np.round(self.rng.uniform(low, high, size) * 4) / 4
 
 
+def anchored_subcollections(ds, anchor_set):
+    """The whole collection for an empty ``anchor_set``, else every
+    sub-collection cut by the joint 2-bin categories of its features."""
+    if not anchor_set:
+        return [ds]
+    cats = categorize_features(ds, n_bins=2)
+    codes, _ = fuse_categories([cats.column(f) for f in anchor_set])
+    return [ds.subset(codes == c) for c in np.unique(codes)]
+
+
 @pytest.mark.parametrize("n_rep", [1, 7, 200])
-@pytest.mark.parametrize("anchor", ["no-anchor"])  # one value: it keeps the ids
+@pytest.mark.parametrize("anchor_set", [(), ("V2",), ("V1", "V2", "V3")],
+                         ids=["no-anchor", "anchor1", "anchor3"])
 @pytest.mark.parametrize("n, n_bins", [
     (n, n_bins) for n in (17, 300, 3000, "tied-max") for n_bins in (4, 10, 300)
     if (n, n_bins) != (3000, 300)])
-def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor,
+def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor_set,
                                                        n_rep, monkeypatch):
     # n_bins=300 counts edges in a 2-byte accumulator (its oracle takes
     # seconds at n=3000); "tied-max" draws quarter-rounded noise on a
-    # sample with tied times at its maximum
+    # sample with tied times at its maximum.  An anchored case runs the null
+    # on each sub-collection its features cut, with the sub-collection's own
+    # masses on the collection's time scheme, as the CLI's --subdivide does;
+    # a sub-collection whose noise cannot be binned raises in both.
     if n == "tied-max":
         ds = make_tied_dataset(5, 300)
         scheme = equal_width_bins(ds.y, 4)
         monkeypatch.setattr(np.random, "default_rng", QuarterRng)
     else:
         ds, scheme = null_case(n)
-    null = reliability_null(ds, scheme, n_rep=n_rep, n_bins=n_bins,
-                            seed=n_rep)
-    expected = null_per_replicate(ds, scheme, n_rep, n_bins, seed=n_rep)
-    assert null.ces.shape == (n_rep,)
-    np.testing.assert_allclose(null.ces, expected, rtol=0, atol=1e-12)
+    for sub in anchored_subcollections(ds, anchor_set):
+        masses, _ = binned_row_masses(sub.y, sub.delta, scheme)
+        try:
+            expected = null_per_replicate(sub, scheme, n_rep, n_bins,
+                                          seed=n_rep)
+        except DegenerateRangeError:
+            with pytest.raises(DegenerateRangeError):
+                reliability_null(sub, scheme, n_rep=n_rep, n_bins=n_bins,
+                                 seed=n_rep, masses=masses)
+            continue
+        null = reliability_null(sub, scheme, n_rep=n_rep, n_bins=n_bins,
+                                seed=n_rep, masses=masses)
+        assert null.ces.shape == (n_rep,)
+        np.testing.assert_allclose(null.ces, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, k", [(300, 150), (3000, 15)])
