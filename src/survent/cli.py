@@ -251,6 +251,10 @@ def cmd_analyze(run: Manifest) -> None:
         cmd_cox(run)
     if run.dataset.n_c and run.dataset.n_u:
         cmd_censor_test(run, Path("censor_test"))
+    else:
+        reason = "no censored records" if run.dataset.n_u else "no events"
+        warnings.warn(f"{_collection(run.dataset)}: {reason}; censor test "
+                      "skipped", stacklevel=2)
     mce = mce_matrix(run.cats)
     run.write_rows("mce_matrix.csv", mce.to_rows(), ["", *mce.names])
     run.write_rows("mce_edges.csv",

@@ -100,7 +100,12 @@ def ecological_effect(i_ab_given_y: float, i_ab: float,
     """Difference I[A;B|Y] - I[A;B] and whether it is positive.
 
     A positive difference means the two feature sets become more dependent
-    once the response is known, i.e. they can act concurrently.
+    once the response is known, i.e. they can act concurrently.  The
+    difference is the interaction information, symmetric in its three
+    variables: I[A;B|Y] - I[A;B] = I[A;Y|B] - I[A;Y] = I[(A,B);Y] - I[A;Y]
+    - I[B;Y].  :func:`run_mfs` passes the last form as
+    ``(drop[AB] - drop[A], drop[B])``, the drops being I[.;Y], with A the
+    set's best sub-set and B its added member.
     """
     diff = i_ab_given_y - i_ab
     return diff, bool(diff > atol)

@@ -10,9 +10,9 @@ uniform-noise features pushed through the identical pipeline.
 
 Pairwise association between covariates themselves is summarized by a
 symmetric mutual-conditional-entropy score,
-``max(H[A|B]/H[A], H[B|A]/H[B])`` on the plain table (0 for duplicated
-features, near 1 for independent ones).  This definition is a convention of
-this library; see the README note.
+``max(H[A|B]/H[A], H[B|A]/H[B])`` on the unweighted counts (0 for
+duplicated features, near 1 for independent ones).  This definition is a
+convention of this library; see the README note.
 """
 
 from __future__ import annotations
@@ -25,23 +25,15 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .binning import BinningScheme, DegenerateRangeError, categorize, equal_width_bins
-from .contingency import (
-    ContingencyTable,
-    _compact,
-    _mass_cells,
-    fuse_categories,
-    table_from_binned,
-    table_plain,
-)
+from .contingency import (_compact, _mass_cells, fuse_categories,
+                          table_from_binned)
 from .data import Dataset
 from .entropy import (
     _entropies_of_rows,
     _entropy_of_counts,
     conditional_entropy,
-    conditional_mutual_information,
     ecological_effect,
     interacting_flag,
-    mutual_information,
     sce_drop,
 )
 from .redistribution import binned_row_masses
@@ -52,8 +44,9 @@ class CategorizedFeatures:
     """Per-feature ordinal codes (1-based) aligned to a dataset.
 
     Every code of feature ``f`` lies in ``1..len(levels[f])``; levels may be
-    empty (explicit bins that no value reaches).  :func:`run_mfs` relies on
-    this to fuse codes as mixed-radix numbers without compacting them.
+    empty (explicit bins that no value reaches).  :func:`run_mfs` and
+    :func:`mce_matrix` rely on this to fuse codes as mixed-radix numbers
+    without compacting them first.
     """
 
     names: tuple[str, ...]
@@ -193,10 +186,12 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     fastest, so each (a, b) of a triple is compacted once and serves as the
     high digit of all its triples (a, b, c).  Ascending mixed-radix codes
     are lexicographic in the member codes, so rows, cells and entropies are
-    those of fusing each set on its own.  Only the order-1 tables and one
-    compacted pair code are kept, each order-2 table serves its pair's
-    conditional mutual information and is dropped, and order-3 tables are
-    never kept, so memory is O(n * k) whatever the number of sets.
+    those of fusing each set on its own.  Every set of order >= 2 splits
+    into its best sub-set (largest drop) and the added member; its
+    ecological term is ``drop - drop[best] - drop[added]``, the interaction
+    information of :func:`ecological_effect`, so it needs no table beyond
+    the set's own.  No table is kept, only one compacted pair code and the
+    per-set entropies, so memory is O(n * k) whatever the number of sets.
     """
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be 1, 2 or 3")
@@ -209,7 +204,6 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
 
     code_of = {f: cats.column(f) for f in names}
     radix = {f: len(cats.levels[f]) + 1 for f in names}
-    singles: dict[str, ContingencyTable] = {}
     ces: dict[tuple[str, ...], float] = {}
     drops: dict[tuple[str, ...], float] = {}
     reports: dict[int, MFSReport] = {}
@@ -236,36 +230,19 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             drop = h_response - ce
             drops[fset] = drop
             if order == 1:
-                singles[fset[0]] = table
-                rec = AssociationRecord(fset, ce, drop, sce_drop=drop)
-            elif order == 2:
-                sce = sce_drop(h_response, ce, ces[(a,)], ces[(b,)])
-                minor = min(drops[(a,)], drops[(b,)])
-                i_ab = mutual_information(
-                    table_plain(code_of[a], code_of[b]))
-                i_ab_y = conditional_mutual_information(
-                    singles[a], singles[b], table)
-                eco, eco_flag = ecological_effect(i_ab_y, i_ab)
-                rec = AssociationRecord(
-                    fset, ce, drop, sce,
-                    ecological=eco, ecological_flag=eco_flag,
-                    interacting=interacting_flag(sce, minor, eco_flag),
-                )
-            else:
-                pairs = list(itertools.combinations(fset, 2))
-                best_pair = max(pairs, key=lambda p: drops[p])
-                sce = sce_drop(h_response, ce, *(ces[p] for p in pairs))
-                added = next(f for f in fset if f not in best_pair)
-                # ecological difference over the split (best pair, remainder)
-                eco = drop - drops[best_pair] - drops[(added,)]
-                eco_flag = eco > 1e-12
-                rec = AssociationRecord(
-                    fset, ce, drop, sce,
-                    ecological=eco, ecological_flag=eco_flag,
-                    interacting=interacting_flag(sce, drops[(added,)],
-                                                 eco_flag),
-                )
-            records.append(rec)
+                records.append(AssociationRecord(fset, ce, drop, drop))
+                continue
+            parts = list(itertools.combinations(fset, order - 1))
+            best = max(parts, key=lambda p: drops[p])
+            added = next(f for f in fset if f not in best)
+            sce = sce_drop(h_response, ce, *(ces[p] for p in parts))
+            # ecological difference over the split (best part, added member)
+            eco, eco_flag = ecological_effect(drop - drops[best],
+                                              drops[(added,)])
+            records.append(AssociationRecord(
+                fset, ce, drop, sce, ecological=eco, ecological_flag=eco_flag,
+                interacting=interacting_flag(sce, drops[(added,)], eco_flag),
+            ))
 
         if dataset.n_u < 10 * worst:
             warnings.warn(
@@ -397,11 +374,14 @@ class MCEResult:
 def mce_matrix(cats: CategorizedFeatures,
                features: Sequence[str] | None = None,
                threshold: float = 0.97) -> MCEResult:
-    """Symmetric covariate-association matrix on plain tables.
+    """Symmetric covariate-association matrix on unweighted counts.
 
     Score of a pair is ``max(H[A|B]/H[A], H[B|A]/H[B])``: 0 when either
     determines the other, near 1 when independent.  Pairs involving a
-    zero-entropy (constant) feature are undefined and reported as 1.
+    zero-entropy (constant) feature are undefined and reported as 1.  Both
+    conditional entropies come from the joint entropy, ``H[A|B] = H[A,B] -
+    H[B]``, counted over the pair's compacted mixed-radix code, so no
+    ``levels_a x levels_b`` table is built and memory stays O(n).
     """
     names = tuple(features) if features is not None else cats.names
     m = len(names)
@@ -415,11 +395,11 @@ def mce_matrix(cats: CategorizedFeatures,
         if ents[a] <= 0 or ents[b] <= 0:
             out[i, j] = out[j, i] = 1.0
             continue
-        tab = table_plain(cats.column(a), cats.column(b))
-        h_b_given_a, _ = conditional_entropy(tab)
-        h_a_given_b, _ = conditional_entropy(tab.transpose())
-        out[i, j] = out[j, i] = max(h_a_given_b / ents[a],
-                                    h_b_given_a / ents[b])
+        _, joint = _compact(cats.column(a) * (len(cats.levels[b]) + 1)
+                            + cats.column(b))
+        h_ab = _entropy_of_counts(np.bincount(joint))
+        out[i, j] = out[j, i] = max((h_ab - ents[b]) / ents[a],
+                                    (h_ab - ents[a]) / ents[b])
     return MCEResult(names, out, threshold)
 
 

@@ -498,3 +498,25 @@ def test_one_record_subcollection_has_header_only_null(tmp_path):
     with open(outdir / "V1=3" / "mfs_order1.csv", encoding="utf-8") as fh:
         assert all(r["reliability_p"] for r in csv.DictReader(fh))
     assert (outdir / "manifest.json").exists()
+
+
+def test_all_event_sample_warns_and_skips_censor_test(tmp_path):
+    rng = np.random.default_rng(8)
+    data = tmp_path / "events.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "time", "status", "V1", "V2"])
+        for i in range(200):
+            writer.writerow([i, repr(float(rng.uniform(1, 10))), 1,
+                             *rng.uniform(size=2)])
+    config = tmp_path / "events.json"
+    config.write_text(json.dumps({"time": "time", "status": "status",
+                                  "id": "id", "features": ["V1", "V2"]}))
+    outdir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="whole sample: no censored records; "
+                                         "censor test skipped"):
+        rc = main(["analyze", "--input", str(data), "--config", str(config),
+                   "--outdir", str(outdir), "--n-sim", "50"])
+    assert rc == 0
+    assert (outdir / "manifest.json").exists()
+    assert not (outdir / "censor_test").exists()

@@ -8,13 +8,17 @@ import warnings
 
 import pytest
 
+import numpy as np
+
 from survent import (
+    Dataset,
     SimConfig,
     binned_row_masses,
     categorize_features,
     equal_width_bins,
     generate,
     ingest_csv,
+    mce_matrix,
     reliability_null,
     run_mfs,
     table_from_binned,
@@ -86,3 +90,23 @@ def test_reliability_null_peak_holds_one_replicate(sample):
     peak = traced_peak(reliability_null, sample, scheme, n_rep=200,
                        n_bins=10, masses=masses)
     assert peak < 1 * MiB
+
+
+def test_pair_terms_build_no_levels_squared_table():
+    # two categorical features of n levels each at n = 3,000: a dense
+    # levels_a x levels_b pair table peaked at 206 MiB in mce_matrix and
+    # 147 MiB in run_mfs (do not try n = 10^4, which needed about 2.3 GB)
+    n = 3_000
+    rng = np.random.default_rng(0)
+    ds = Dataset(y=rng.exponential(1.0, n), delta=np.ones(n, dtype=int),
+                 X=np.column_stack([rng.permutation(n), rng.permutation(n)]),
+                 feature_kinds=["categorical", "categorical"])
+    scheme = equal_width_bins(ds.y, 10)
+    masses, _ = binned_row_masses(ds.y, ds.delta, scheme)
+    cats = categorize_features(ds)
+    assert traced_peak(mce_matrix, cats) < 2 * MiB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # size guard
+        peak = traced_peak(run_mfs, ds, scheme, cats=cats, max_order=2,
+                           masses=masses)
+    assert peak < 2 * MiB

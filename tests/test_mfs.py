@@ -141,7 +141,7 @@ def mfs_per_set_fusion(ds, scheme, cats, features):
     masses, _ = binned_row_masses(ds.y, ds.delta, scheme)
     h = _entropy_of_counts(
         table_from_binned(masses, np.zeros(ds.n, np.int64)).cells[0])
-    singles, ces, drops, reports = {}, {}, {}, {}
+    ces, drops, reports = {}, {}, {}
     for order in (1, 2, 3):
         records = []
         for fset in itertools.combinations(features, order):
@@ -150,25 +150,14 @@ def mfs_per_set_fusion(ds, scheme, cats, features):
             ce, _ = conditional_entropy(table)
             ces[fset], drops[fset] = ce, h - ce
             if order == 1:
-                singles[fset[0]] = table
                 records.append(AssociationRecord(fset, ce, h - ce, h - ce))
                 continue
-            if order == 2:
-                a, b = fset
-                sce = sce_drop(h, ce, ces[(a,)], ces[(b,)])
-                minor = min(drops[(a,)], drops[(b,)])
-                eco, flag = ecological_effect(
-                    conditional_mutual_information(singles[a], singles[b],
-                                                   table),
-                    mutual_information(table_plain(cats.column(a),
-                                                   cats.column(b))))
-            else:
-                pairs = list(itertools.combinations(fset, 2))
-                best = max(pairs, key=lambda p: drops[p])
-                sce = sce_drop(h, ce, *(ces[p] for p in pairs))
-                minor = drops[tuple(f for f in fset if f not in best)]
-                eco = h - ce - drops[best] - minor
-                flag = eco > 1e-12
+            parts = list(itertools.combinations(fset, order - 1))
+            best = max(parts, key=lambda p: drops[p])
+            sce = sce_drop(h, ce, *(ces[p] for p in parts))
+            minor = drops[tuple(f for f in fset if f not in best)]
+            eco = h - ce - drops[best] - minor
+            flag = eco > 1e-12
             records.append(AssociationRecord(
                 fset, ce, h - ce, sce, ecological=eco, ecological_flag=flag,
                 interacting=interacting_flag(sce, minor, flag)))
@@ -237,6 +226,58 @@ def test_run_mfs_matches_per_set_fusion(n, seed, kinds, n_bins, split):
             for order in (1, 2, 3):
                 assert reports[order].h_response == h
                 assert reports[order].records == expected[order]
+
+
+@pytest.mark.parametrize("n, seed, kinds, n_bins", [
+    (17, 1, MIXED, 4), (300, 2, MIXED, 10), (3000, 3, MIXED, 10),
+    (300, 4, ("categorical", *MIXED), 4), (3000, 5, ("explicit", *MIXED), 4),
+])
+def test_pair_terms_match_plain_table_reference(n, seed, kinds, n_bins):
+    # a pair's ecological term from its drops, and the association score
+    # from joint entropies, against the plain-table definitions
+    # I[A;B|Y] - I[A;B] and max(H[A|B]/H[A], H[B|A]/H[B]); the last
+    # feature duplicates the first
+    ds, schemes, scheme = fusion_case(n, seed, kinds, n_bins)
+    ds = Dataset(y=ds.y, delta=ds.delta,
+                 X=np.column_stack([ds.X, ds.X[:, 0]]),
+                 feature_kinds=[*ds.feature_kinds, ds.feature_kinds[0]])
+    if "V1" in schemes:
+        schemes[f"V{len(kinds) + 1}"] = schemes["V1"]
+    cats = categorize_features(ds, n_bins=n_bins, schemes=schemes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty levels, sizes
+        reports = run_mfs(ds, scheme, cats=cats, max_order=2)
+    masses, _ = binned_row_masses(ds.y, ds.delta, scheme)
+    singles = {f: table_from_binned(masses, cats.column(f))
+               for f in cats.names}
+    drops = {r.features[0]: r.ce_drop for r in reports[1].records}
+    ents = {f: _entropy_of_counts(np.bincount(cats.column(f))[1:])
+            for f in cats.names}
+    mce = mce_matrix(cats)
+    order = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(cats.names), 2):
+        pair = table_from_binned(
+            masses, _fuse_codes([cats.column(a), cats.column(b)]))
+        plain = table_plain(cats.column(a), cats.column(b))
+        eco, flag = ecological_effect(
+            conditional_mutual_information(singles[a], singles[b], pair),
+            mutual_information(plain))
+        rec = reports[2].record_for((a, b))
+        assert abs(rec.ecological - eco) <= 1e-12
+        assert rec.ecological_flag == flag
+        assert rec.interacting == interacting_flag(
+            rec.sce_drop, min(drops[a], drops[b]), flag)
+        order.append((conditional_entropy(pair)[0], (a, b)))
+        score = 1.0
+        if ents[a] > 0 and ents[b] > 0:
+            score = max(conditional_entropy(plain.transpose())[0] / ents[a],
+                        conditional_entropy(plain)[0] / ents[b])
+        assert abs(mce.matrix[i, j] - score) <= 1e-12
+        assert mce.matrix[j, i] == mce.matrix[i, j]
+        edge = (a, b) in [e[:2] for e in mce.edges]
+        assert edge == (score < mce.threshold)
+    assert [r.features for r in reports[2].records] == [
+        f for _, f in sorted(order)]
 
 
 def test_independent_response_all_drops_in_noise_band():
