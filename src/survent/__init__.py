@@ -20,7 +20,11 @@ from .binning import (
     explicit_bins,
     km_quantile_bins,
 )
-from .censor_test import CensorTestResult, run_censor_test
+from .censor_test import (
+    CensorTestResult,
+    DegenerateMarginalError,
+    run_censor_test,
+)
 from .contingency import (
     ContingencyTable,
     censor_cross_table,
@@ -93,6 +97,7 @@ __all__ = [
     "ContingencyTable",
     "CoxFit",
     "Dataset",
+    "DegenerateMarginalError",
     "DegenerateRangeError",
     "InfeasibleBinningError",
     "MCEResult",

@@ -24,6 +24,11 @@ from .data import Dataset
 from .entropy import _entropies_of_rows, _entropy_of_counts
 
 
+class DegenerateMarginalError(ValueError):
+    """A marginal of the summed table has zero entropy: nothing to rescale
+    the conditional entropies by."""
+
+
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov statistic sup |F_a - F_b|."""
     grid = np.concatenate((a, b))
@@ -192,7 +197,8 @@ def run_censor_test(dataset: Dataset | None = None,
     h_col = _entropy_of_counts(table.col_sums())
     h_row = _entropy_of_counts(table.row_sums())
     if h_col <= 0 or h_row <= 0:
-        raise ValueError("degenerate marginal: cannot rescale conditional entropies")
+        raise DegenerateMarginalError(
+            "degenerate marginal: cannot rescale conditional entropies")
 
     ss = np.random.SeedSequence(seed).spawn(2)
     rows = _axis_test(table.cells, h_col, n_sim, np.random.default_rng(ss[0]))

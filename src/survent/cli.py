@@ -5,9 +5,18 @@ Subcommands: ``simulate``, ``analyze``, ``censor-test``, ``mfs``,
 ``censor-test`` (into ``censor_test/``) and, with ``--subdivide``,
 ``subdivide``, plus the covariate-association matrix; each of those files is
 byte-identical to the one the command of its own writes from the same input
-and options.  Sub-collections are categorised exactly as the whole sample is:
-the config's explicit edges where given, else ``--feature-bins`` equal-width
-bins over the sub-collection's own range.
+and options.  A sub-collection is the run seen through
+:meth:`Manifest.part` and goes through the same stage bodies as the whole
+sample, so it is categorised exactly as the whole sample is (the config's
+explicit edges where given, else ``--feature-bins`` equal-width bins over its
+own range) and binned on the whole sample's time bins.
+
+``analyze`` skips a stage that its sample cannot support, with a
+``UserWarning`` that names the collection and the reason, and still writes
+its manifest: the Cox fit on a sample with no events, and the censor test on
+a sample with no events, no censored records or a degenerate (zero-entropy)
+marginal.  The ``cox`` and ``censor-test`` commands exit 1 on such a sample
+before writing anything.
 
 Every run writes ``manifest.json`` next to its outputs: command, argv,
 version, seed, the sha256 of every input and output, timings, and under
@@ -28,12 +37,16 @@ names no listed feature or a kind other than ``continuous`` and
 list, ``analyze --expand`` without ``--subdivide``, ``--time-bins`` or
 ``--feature-bins`` below 2, ``--n-sim`` below 1, a negative
 ``--reliability``, and invalid ``simulate`` settings; all of them are found
-before any output is written.
+before any output is written.  Runtime errors are found that early only when
+they stop the run before its first write (a sample whose times are all
+equal has no time bins, say); one raised by a later stage leaves the files
+written before it, with no manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -48,7 +61,7 @@ import numpy as np
 
 from . import __version__
 from .binning import BinningScheme, equal_width_bins, explicit_bins, km_quantile_bins
-from .censor_test import run_censor_test
+from .censor_test import DegenerateMarginalError, run_censor_test
 from .coxph import fit as cox_fit
 from .data import ColumnConfig, ConfigError, Dataset, ingest_csv
 from .mfs import (
@@ -83,13 +96,20 @@ class Manifest:
 
     The column config is read, and every feature the options name is
     checked against it, when the run starts.  The dataset, the response-time
-    scheme and the whole sample's categories and binned mass rows are built
-    once, on first use.
+    scheme and the collection's categories and binned mass rows are built
+    once, on first use.  A run is one collection, :attr:`name` with its
+    candidate :attr:`features` (``--features``, else all).  :meth:`part`
+    is the run seen through a sub-collection: a shallow copy sharing the
+    record and the outputs, with its own dataset, name, features and
+    outdir, its own categories and mass rows built on first use, and the
+    whole sample's time scheme.  Every stage body takes either.
     Each output is recorded as it is written (:meth:`file`,
     :meth:`write_rows`, :meth:`write_json`, or ``written +=`` the paths a
     library writer returns); :meth:`write` hashes them into
     ``manifest.json``.
     """
+
+    name = "whole sample"
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
         self.args = args
@@ -105,6 +125,7 @@ class Manifest:
             "outputs": {},
         }
         opts = vars(args)
+        self.features: list[str] | None = opts.get("features")
         for option, least in (("time_bins", 2), ("feature_bins", 2),
                               ("n_sim", 1), ("reliability", 0)):
             if opts.get(option, least) < least:
@@ -154,28 +175,33 @@ class Manifest:
 
     @cached_property
     def cats(self) -> CategorizedFeatures:
-        return self.categorize(self.dataset)
+        """Categories from the config's explicit edges where given, else
+        ``--feature-bins`` equal-width bins over the collection's own range;
+        the clamp tallies are recorded under :attr:`name`."""
+        schemes = {name: explicit_bins(edges)
+                   for name, edges in (self.config.bins or {}).items()
+                   if name != self.config.time}
+        cats = categorize_features(self.dataset, n_bins=self.args.feature_bins,
+                                   schemes=schemes)
+        self.record.setdefault("clamps", {})[self.name] = dict(cats.clamps)
+        return cats
 
     @cached_property
     def masses(self) -> np.ndarray:
-        """The whole sample's (k, n) :func:`binned_row_masses` layout."""
+        """The collection's (k, n) :func:`binned_row_masses` layout."""
         masses, _ = binned_row_masses(self.dataset.y, self.dataset.delta,
                                       self.scheme)
         return masses
 
-    def categorize(self, dataset: Dataset) -> CategorizedFeatures:
-        """Categories of the whole sample or of one sub-collection: the
-        config's explicit edges where given, else ``--feature-bins``
-        equal-width bins over the collection's own range.  Records its
-        clamp tallies under its sub-collection tag or "whole sample"."""
-        schemes = {name: explicit_bins(edges)
-                   for name, edges in (self.config.bins or {}).items()
-                   if name != self.config.time}
-        cats = categorize_features(dataset, n_bins=self.args.feature_bins,
-                                   schemes=schemes)
-        self.record.setdefault("clamps", {})[_collection(dataset)] = dict(
-            cats.clamps)
-        return cats
+    def part(self, dataset: Dataset, name: str,
+             features: list[str] | None) -> Manifest:
+        """The run on the sub-collection ``dataset``, under ``outdir / name``."""
+        part = copy.copy(self)
+        vars(part).pop("cats", None)
+        vars(part).pop("masses", None)
+        vars(part).update(dataset=dataset, name=name, features=features,
+                          outdir=self.outdir / name, scheme=self.scheme)
+        return part
 
     @cached_property
     def outdir(self) -> Path:
@@ -228,10 +254,6 @@ class Manifest:
             json.dump(self.record, fh, indent=2)
 
 
-def _collection(dataset: Dataset) -> str:
-    return dataset.meta.get("subcollection") or "whole sample"
-
-
 def cmd_simulate(run: Manifest) -> str:
     args = run.args
     try:
@@ -248,13 +270,21 @@ def cmd_simulate(run: Manifest) -> str:
 def cmd_analyze(run: Manifest) -> None:
     cmd_mfs(run)
     if not run.args.no_cox:
-        cmd_cox(run)
+        if run.dataset.n_u:
+            cmd_cox(run)
+        else:
+            warnings.warn(f"{run.name}: no events; Cox fit skipped",
+                          stacklevel=2)
     if run.dataset.n_c and run.dataset.n_u:
-        cmd_censor_test(run, Path("censor_test"))
+        try:
+            cmd_censor_test(run, Path("censor_test"))
+        except DegenerateMarginalError:
+            warnings.warn(f"{run.name}: degenerate marginal; censor test "
+                          "skipped", stacklevel=2)
     else:
         reason = "no censored records" if run.dataset.n_u else "no events"
-        warnings.warn(f"{_collection(run.dataset)}: {reason}; censor test "
-                      "skipped", stacklevel=2)
+        warnings.warn(f"{run.name}: {reason}; censor test skipped",
+                      stacklevel=2)
     mce = mce_matrix(run.cats)
     run.write_rows("mce_matrix.csv", mce.to_rows(), ["", *mce.names])
     run.write_rows("mce_edges.csv",
@@ -264,62 +294,54 @@ def cmd_analyze(run: Manifest) -> None:
         cmd_subdivide(run)
 
 
-def cmd_mfs(run: Manifest, dataset: Dataset | None = None,
-            cats: CategorizedFeatures | None = None, where: Path = Path(),
-            features: list[str] | None = None,
-            masses: np.ndarray | None = None) -> None:
+def cmd_mfs(run: Manifest) -> None:
     """Ranked feature sets (and the reliability null with
-    ``--reliability``) of the whole sample, or of the sub-collection
-    ``dataset`` with its ``cats`` and ``masses``, under ``where``.  The
-    ranking and the null share one binned mass table.  A collection of
-    fewer than 2 records has no noise range: its null is header-only."""
+    ``--reliability``) of the run's collection, the whole sample or a
+    :meth:`Manifest.part`.  The ranking and the null share one binned mass
+    table.  A collection of fewer than 2 records has no noise range: its
+    null is header-only."""
     args = run.args
-    if dataset is None:
-        dataset, cats, masses = run.dataset, run.cats, run.masses
-    reports = run_mfs(dataset, run.scheme, cats=cats, max_order=args.max_order,
-                      features=features, masses=masses)
+    reports = run_mfs(run.dataset, run.scheme, cats=run.cats,
+                      max_order=args.max_order, features=run.features,
+                      masses=run.masses)
     if args.reliability > 0:
         ces = []
-        if dataset.n < 2:
-            warnings.warn(f"{_collection(dataset)}: fewer than 2 records; "
+        if run.dataset.n < 2:
+            warnings.warn(f"{run.name}: fewer than 2 records; "
                           "reliability null skipped", stacklevel=2)
         else:
-            null = reliability_null(dataset, run.scheme,
+            null = reliability_null(run.dataset, run.scheme,
                                     n_rep=args.reliability,
                                     n_bins=args.feature_bins, seed=args.seed,
-                                    masses=masses)
+                                    masses=run.masses)
             for rec in reports[1].records:
                 rec.reliability_p = null.p_value(rec.ce)
             ces = null.ces
-        run.write_rows(where / "reliability_null.csv",
+        run.write_rows("reliability_null.csv",
                        [{"replicate": i + 1, "ce": repr(float(v))}
                         for i, v in enumerate(ces)], ["replicate", "ce"])
     for order, report in reports.items():
-        run.write_rows(where / f"mfs_order{order}.csv", report.to_rows(),
+        run.write_rows(f"mfs_order{order}.csv", report.to_rows(),
                        report.COLUMNS)
-        run.write_json(where / f"mfs_order{order}.json",
-                       report.to_json_dict())
+        run.write_json(f"mfs_order{order}.json", report.to_json_dict())
 
 
 def cmd_subdivide(run: Manifest) -> None:
     feature = run.args.subdivide
     rest = [f for f in run.dataset.feature_names if f != feature]
     for level, sub in subdivide(run.dataset, run.cats, feature):
-        where = Path(f"{feature}={level}")
-        cats = run.categorize(sub)
-        masses, _ = binned_row_masses(sub.y, sub.delta, run.scheme)
-        cmd_mfs(run, sub, cats, where, features=rest, masses=masses)
+        part = run.part(sub, f"{feature}={level}", rest)
+        cmd_mfs(part)
         if run.args.expand:
             rows = []
-            if _response_entropy(masses) <= 0:
-                warnings.warn(f"{_collection(sub)}: response has zero "
-                              "entropy; ce_expansion skipped", stacklevel=2)
+            if _response_entropy(part.masses) <= 0:
+                warnings.warn(f"{part.name}: response has zero entropy; "
+                              "ce_expansion skipped", stacklevel=2)
             else:
                 base, extensions = run.args.expand
-                rows = ce_expansion(sub, run.scheme, cats, base, extensions,
-                                    masses=masses).to_rows()
-            run.write_rows(where / "ce_expansion.csv", rows,
-                           CEExpansion.COLUMNS)
+                rows = ce_expansion(sub, part.scheme, part.cats, base,
+                                    extensions, masses=part.masses).to_rows()
+            part.write_rows("ce_expansion.csv", rows, CEExpansion.COLUMNS)
 
 
 def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:
@@ -332,7 +354,7 @@ def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:
 def cmd_cox(run: Manifest) -> str:
     """Write ``cox.csv`` and ``cox.json``; warn on stderr if the fit did not
     converge."""
-    fitres = cox_fit(run.dataset, features=vars(run.args).get("features"))
+    fitres = cox_fit(run.dataset, features=run.features)
     rows = fitres.summary_rows()
     run.write_rows("cox.csv", rows, fitres.COLUMNS)
     run.write_json("cox.json", {"converged": fitres.converged,

@@ -16,23 +16,25 @@ from .contingency import ContingencyTable
 
 
 def _entropy_of_counts(v: np.ndarray) -> float:
-    """Entropy of the normalized vector, for nonnegative weights."""
-    total = v.sum()
-    if total <= 0:
-        return 0.0
+    """Entropy of the normalized vector, for nonnegative weights; exactly 0
+    for a vector with at most one positive cell."""
     pos = v[v > 0]
+    if pos.size < 2:
+        return 0.0
+    total = v.sum()
     return float(math.log(total) - (pos * np.log(pos)).sum() / total)
 
 
 def _entropies_of_rows(counts: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a nonnegative count matrix; zero-mass rows
-    get 0."""
+    """Entropy of each row of a nonnegative count matrix; rows with at most
+    one positive cell (zero-mass rows among them) get exactly 0."""
     totals = counts.sum(axis=1)
-    safe = np.where(counts > 0, counts, 1.0)
+    positive = counts > 0
+    safe = np.where(positive, counts, 1.0)
     clogc = (counts * np.log(safe)).sum(axis=1)
     out = np.zeros(counts.shape[0])
-    pos = totals > 0
-    out[pos] = np.log(totals[pos]) - clogc[pos] / totals[pos]
+    mixed = np.count_nonzero(positive, axis=1) > 1
+    out[mixed] = np.log(totals[mixed]) - clogc[mixed] / totals[mixed]
     return out
 
 

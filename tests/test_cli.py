@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from survent import (
     run_mfs,
     subdivide,
 )
+import survent.cli as cli
 from survent.cli import main
 
 
@@ -520,3 +522,101 @@ def test_all_event_sample_warns_and_skips_censor_test(tmp_path):
     assert rc == 0
     assert (outdir / "manifest.json").exists()
     assert not (outdir / "censor_test").exists()
+
+
+
+def _edge_files(tmp_path, case: str) -> tuple[Path, Path]:
+    """A V1, V2 sample (both uniform) of one degenerate shape."""
+    rng = np.random.default_rng(11)
+    records = {
+        "all censored": [(t, 0) for t in rng.uniform(1, 10, 200)],
+        "two records": [(3.0, 1), (5.0, 0)],
+        "one distinct time": [(4.0, int(s))
+                              for s in rng.uniform(size=200) < 0.5],
+        "one record": [(4.0, 1)],
+        "all events": [(t, 1) for t in rng.uniform(1, 10, 200)],
+    }[case]
+    data = tmp_path / "edge.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "time", "status", "V1", "V2"])
+        for i, (t, s) in enumerate(records):
+            writer.writerow([i, repr(float(t)), s, *rng.uniform(size=2)])
+    config = tmp_path / "edge.json"
+    config.write_text(json.dumps({"time": "time", "status": "status",
+                                  "id": "id", "features": ["V1", "V2"]}))
+    return data, config
+
+
+@pytest.mark.parametrize("command, opts", [
+    ("analyze", ["--n-sim", "50", "--reliability", "20"]),
+    ("cox", []),
+    ("censor-test", ["--n-sim", "50"]),
+])
+@pytest.mark.parametrize("case", ["all censored", "two records",
+                                  "one distinct time", "one record",
+                                  "all events"])
+def test_run_fails_before_output_or_finishes_with_manifest(tmp_path, case,
+                                                           command, opts):
+    """A degenerate sample either stops the run before it writes anything
+    or the run finishes with a manifest that lists every file written;
+    ``analyze`` skips, with a warning, the stage the sample cannot support."""
+    data, config = _edge_files(tmp_path, case)
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--input", str(data), "--config", str(config),
+                   "--outdir", str(outdir), *opts])
+    if rc:
+        assert not [p for p in outdir.rglob("*") if p.is_file()]
+    else:
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        listed = {str(Path(p).relative_to(outdir)): d
+                  for p, d in manifest["outputs"].items()}
+        assert listed == _files(outdir)
+    if command == "censor-test" or (command, case) == ("cox", "all censored"):
+        assert rc == 1
+    skip = {"all censored": "no events; Cox fit skipped",
+            "two records": "degenerate marginal; censor test skipped",
+            "all events": "no censored records; censor test skipped",
+            }.get(case)
+    if command == "analyze" and skip:
+        assert rc == 0
+        assert f"whole sample: {skip}" in {str(w.message) for w in caught}
+
+
+def test_binned_masses_and_categories_built_once_per_collection(
+        tmp_path, monkeypatch):
+    """The whole sample and each sub-collection build their categories and
+    binned mass rows once, every stage reuses them, and every collection's
+    mass rows are binned on the whole sample's time scheme."""
+    calls = {"binned_row_masses": [], "categorize_features": []}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    data = tmp_path / "sim.csv"
+    assert main(["simulate", "--n", "200", "--censor-rate", "0.3",
+                 "--out", str(data)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"time": "time", "status": "status",
+                                  "id": "id", "features": ["V3", "V7", "V9"]}))
+    outdir = tmp_path / "out"
+    rc = main(["analyze", "--input", str(data), "--config", str(config),
+               "--outdir", str(outdir), "--max-order", "1",
+               "--reliability", "5", "--n-sim", "50", "--subdivide", "V9",
+               "--expand", "V7:V3"])
+    assert rc == 0
+    n_subs = sum(1 for p in outdir.glob("V9=*") if p.is_dir())
+    assert n_subs >= 2
+    assert len(calls["categorize_features"]) == 1 + n_subs
+    assert len(calls["binned_row_masses"]) == 1 + n_subs
+    whole = calls["binned_row_masses"][0][2]
+    assert all(args[2] is whole for args in calls["binned_row_masses"])

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survent import (
@@ -21,6 +21,7 @@ from survent import (
     sce_drop,
     table_plain,
 )
+from survent.entropy import _entropies_of_rows, _entropy_of_counts
 
 
 def oracle_joint_stats(cells: np.ndarray) -> tuple[float, float, float]:
@@ -285,3 +286,23 @@ def test_interacting_flag_rules():
     assert not interacting_flag(0.0, 0.5, True)
     assert not interacting_flag(0.0106, 0.0026, False)
     assert not interacting_flag(1e9, 1.0, True, factor=math.inf)
+
+
+@given(st.integers(1, 10**6), st.integers(0, 3))
+# the first k at which log k - k log k / k is not exactly 0
+@example(6, 2)
+@example(22, 0)
+@example(23, 1)
+@example(26, 3)
+@settings(max_examples=200, deadline=None)
+def test_point_mass_entropy_is_exactly_zero(k, at):
+    """A vector or row with one positive cell has entropy exactly 0, not
+    an ulp either side of it; rows with two positive cells are unchanged."""
+    assert _entropy_of_counts(np.array([k])) == 0.0
+    row = np.zeros(4)
+    row[at] = k
+    assert _entropy_of_counts(row) == 0.0
+    rows = np.vstack([row, np.zeros(4), [k, k, 0.0, 0.0]])
+    per_row = _entropies_of_rows(rows)
+    assert per_row[0] == 0.0 and per_row[1] == 0.0
+    assert per_row[2] == pytest.approx(math.log(2), abs=1e-12)

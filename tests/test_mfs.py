@@ -533,6 +533,17 @@ def test_mce_constant_feature_reported_as_one():
     assert res.matrix[0, 1] == 1.0
 
 
+@pytest.mark.parametrize("n", [22, 23, 26])
+def test_mce_constant_feature_exactly_one_where_entropy_rounds(n):
+    """At these n a constant feature's plug-in entropy used to come out an
+    ulp off zero, which slipped past the constant-feature guard."""
+    ds = Dataset(y=np.arange(1.0, n + 1), delta=np.ones(n, dtype=int),
+                 X=np.column_stack([np.ones(n), np.linspace(0, 1, n)]),
+                 feature_names=["const", "v"])
+    res = mce_matrix(categorize_features(ds))
+    assert res.matrix[0, 1] == res.matrix[1, 0] == 1.0
+
+
 def test_ce_expansion_refinement(planted):
     ds, scheme = planted
     cats = categorize_features(ds, n_bins=4)
