@@ -9,7 +9,7 @@ sample and to every sub-collection, whose values need not span it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ class BinningScheme:
     """
 
     edges: tuple[float, ...]
-    labels: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -44,10 +43,6 @@ class BinningScheme:
         if not np.all(np.diff(edges) > 0):
             raise ValueError("edges must be strictly increasing")
         object.__setattr__(self, "edges", tuple(float(e) for e in edges))
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, edges.size)))
-        if len(self.labels) != edges.size - 1:
-            raise ValueError("one label per bin required")
 
     @property
     def nbins(self) -> int:

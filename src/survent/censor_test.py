@@ -23,6 +23,8 @@ from .contingency import ContingencyTable, censor_cross_table
 from .data import Dataset
 from .entropy import _entropies_of_rows, _entropy_of_counts
 
+_ALPHA = 0.05  # verdict: rejected unless every valid p exceeds it
+
 
 class DegenerateMarginalError(ValueError):
     """A marginal of the summed table has zero entropy: nothing to rescale
@@ -172,16 +174,12 @@ def run_censor_test(dataset: Dataset | None = None,
                     *,
                     table: ContingencyTable | None = None,
                     n_sim: int = 10_000,
-                    seed: int = 0,
-                    alpha: float = 0.05,
-                    masses: np.ndarray | None = None) -> CensorTestResult:
+                    seed: int = 0) -> CensorTestResult:
     """Run the censoring-independence diagnostic.
 
     Either give a dataset plus the time-bin scheme (the summed
     censoring-vs-event table is built by redistribution), or feed a
-    prebuilt ``table`` directly.  ``masses`` is the dataset's (k, n)
-    :func:`binned_row_masses` layout, passed on to
-    :func:`censor_cross_table`.  Row totals are fractional after
+    prebuilt ``table`` directly.  Row totals are fractional after
     redistribution; multinomial draws use them rounded half-up.  Each
     row's and column's p-value is two-sided on its null sample.
     """
@@ -191,8 +189,8 @@ def run_censor_test(dataset: Dataset | None = None,
     else:
         if dataset is None or time_scheme is None:
             raise ValueError("need either a table or a dataset with a time scheme")
-        table, censored_part, event_part = censor_cross_table(
-            dataset, time_scheme, masses=masses)
+        table, censored_part, event_part = censor_cross_table(dataset,
+                                                              time_scheme)
 
     h_col = _entropy_of_counts(table.col_sums())
     h_row = _entropy_of_counts(table.row_sums())
@@ -210,12 +208,12 @@ def run_censor_test(dataset: Dataset | None = None,
 
     valid_p = np.concatenate((rows.p_values[~np.isnan(rows.p_values)],
                               cols.p_values[~np.isnan(cols.p_values)]))
-    if valid_p.size and valid_p.min() > alpha:
+    if valid_p.size and valid_p.min() > _ALPHA:
         verdict = "non-informative not rejected"
     else:
         verdict = "non-informative rejected"
     notes.append("verdict is a heuristic threshold call at alpha="
-                 f"{alpha}; inspect the overlap summaries")
+                 f"{_ALPHA}; inspect the overlap summaries")
     return CensorTestResult(
         table=table,
         censored_part=censored_part,
@@ -224,7 +222,7 @@ def run_censor_test(dataset: Dataset | None = None,
         h_row_marginal=h_row,
         rows=rows,
         cols=cols,
-        alpha=alpha,
+        alpha=_ALPHA,
         verdict=verdict,
         notes=notes,
     )

@@ -34,13 +34,14 @@ neither the time column nor a listed feature, and a ``kinds`` entry that
 names no listed feature or a kind other than ``continuous`` and
 ``categorical`` included), an unreadable input, a feature named by
 ``--subdivide``, ``--expand`` or ``--features`` that the config does not
-list, ``analyze --expand`` without ``--subdivide``, ``--time-bins`` or
-``--feature-bins`` below 2, ``--n-sim`` below 1, a negative
-``--reliability``, and invalid ``simulate`` settings; all of them are found
-before any output is written.  Runtime errors are found that early only when
-they stop the run before its first write (a sample whose times are all
-equal has no time bins, say); one raised by a later stage leaves the files
-written before it, with no manifest.
+list, a feature that ``--features`` names twice, ``analyze --expand``
+without ``--subdivide``, ``--time-bins`` or ``--feature-bins`` below 2,
+``--n-sim`` below 1, a negative ``--reliability``, and invalid
+``simulate`` settings; all of them are found before any output is
+written.  Runtime errors are found that early only when they stop the run
+before its first write (a sample whose times are all equal has no time
+bins, say); one raised by a later stage leaves the files written before
+it, with no manifest.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ import warnings
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import __version__
 from .binning import BinningScheme, equal_width_bins, explicit_bins, km_quantile_bins
@@ -75,7 +74,7 @@ from .mfs import (
     run_mfs,
     subdivide,
 )
-from .redistribution import binned_row_masses
+from .redistribution import collection_masses
 from .simgen import SimConfig, generate, write_dataset_csv
 
 
@@ -96,17 +95,16 @@ class Manifest:
 
     The column config is read, and every feature the options name is
     checked against it, when the run starts.  The dataset, the response-time
-    scheme and the collection's categories and binned mass rows are built
-    once, on first use.  A run is one collection, :attr:`name` with its
-    candidate :attr:`features` (``--features``, else all).  :meth:`part`
-    is the run seen through a sub-collection: a shallow copy sharing the
-    record and the outputs, with its own dataset, name, features and
-    outdir, its own categories and mass rows built on first use, and the
-    whole sample's time scheme.  Every stage body takes either.
-    Each output is recorded as it is written (:meth:`file`,
-    :meth:`write_rows`, :meth:`write_json`, or ``written +=`` the paths a
-    library writer returns); :meth:`write` hashes them into
-    ``manifest.json``.
+    scheme and the collection's categories are built once, on first use;
+    every stage reads its mass rows from :func:`collection_masses`.  A run
+    is one collection, :attr:`name` with its candidate :attr:`features`
+    (``--features``, else all).  :meth:`part` is the run seen through a
+    sub-collection: a shallow copy sharing the record and the outputs, with
+    its own dataset, name, features, outdir and categories, and the whole
+    sample's time scheme.  Every stage body takes either.  Each output is
+    recorded as it is written (:meth:`file`, :meth:`write_rows`,
+    :meth:`write_json`, or ``written +=`` the paths a library writer
+    returns); :meth:`write` hashes them into ``manifest.json``.
     """
 
     name = "whole sample"
@@ -133,6 +131,8 @@ class Manifest:
                                  f"least {least}")
         if opts.get("expand") and not opts.get("subdivide"):
             raise UsageError("--expand needs --subdivide")
+        if self.features and len(set(self.features)) < len(self.features):
+            raise UsageError("--features names a feature more than once")
         if "input" in opts:
             base, extensions = opts.get("expand") or (None, [])
             named = [opts.get("subdivide"), base, *sum(extensions, []),
@@ -186,19 +186,11 @@ class Manifest:
         self.record.setdefault("clamps", {})[self.name] = dict(cats.clamps)
         return cats
 
-    @cached_property
-    def masses(self) -> np.ndarray:
-        """The collection's (k, n) :func:`binned_row_masses` layout."""
-        masses, _ = binned_row_masses(self.dataset.y, self.dataset.delta,
-                                      self.scheme)
-        return masses
-
     def part(self, dataset: Dataset, name: str,
              features: list[str] | None) -> Manifest:
         """The run on the sub-collection ``dataset``, under ``outdir / name``."""
         part = copy.copy(self)
         vars(part).pop("cats", None)
-        vars(part).pop("masses", None)
         vars(part).update(dataset=dataset, name=name, features=features,
                           outdir=self.outdir / name, scheme=self.scheme)
         return part
@@ -297,13 +289,11 @@ def cmd_analyze(run: Manifest) -> None:
 def cmd_mfs(run: Manifest) -> None:
     """Ranked feature sets (and the reliability null with
     ``--reliability``) of the run's collection, the whole sample or a
-    :meth:`Manifest.part`.  The ranking and the null share one binned mass
-    table.  A collection of fewer than 2 records has no noise range: its
-    null is header-only."""
+    :meth:`Manifest.part`.  A collection of fewer than 2 records has no
+    noise range: its null is header-only."""
     args = run.args
     reports = run_mfs(run.dataset, run.scheme, cats=run.cats,
-                      max_order=args.max_order, features=run.features,
-                      masses=run.masses)
+                      max_order=args.max_order, features=run.features)
     if args.reliability > 0:
         ces = []
         if run.dataset.n < 2:
@@ -312,8 +302,7 @@ def cmd_mfs(run: Manifest) -> None:
         else:
             null = reliability_null(run.dataset, run.scheme,
                                     n_rep=args.reliability,
-                                    n_bins=args.feature_bins, seed=args.seed,
-                                    masses=run.masses)
+                                    n_bins=args.feature_bins, seed=args.seed)
             for rec in reports[1].records:
                 rec.reliability_p = null.p_value(rec.ce)
             ces = null.ces
@@ -327,26 +316,24 @@ def cmd_mfs(run: Manifest) -> None:
 
 
 def cmd_subdivide(run: Manifest) -> None:
-    feature = run.args.subdivide
-    rest = [f for f in run.dataset.feature_names if f != feature]
-    for level, sub in subdivide(run.dataset, run.cats, feature):
-        part = run.part(sub, f"{feature}={level}", rest)
+    rest = [f for f in run.dataset.feature_names if f != run.args.subdivide]
+    for _, sub in subdivide(run.dataset, run.cats, run.args.subdivide):
+        part = run.part(sub, sub.meta["subcollection"], rest)
         cmd_mfs(part)
         if run.args.expand:
             rows = []
-            if _response_entropy(part.masses) <= 0:
+            if _response_entropy(collection_masses(sub, part.scheme)) <= 0:
                 warnings.warn(f"{part.name}: response has zero entropy; "
                               "ce_expansion skipped", stacklevel=2)
             else:
-                base, extensions = run.args.expand
-                rows = ce_expansion(sub, part.scheme, part.cats, base,
-                                    extensions, masses=part.masses).to_rows()
+                rows = ce_expansion(sub, part.scheme, part.cats,
+                                    *run.args.expand).to_rows()
             part.write_rows("ce_expansion.csv", rows, CEExpansion.COLUMNS)
 
 
 def cmd_censor_test(run: Manifest, where: Path = Path()) -> str:
     result = run_censor_test(run.dataset, run.scheme, n_sim=run.args.n_sim,
-                             seed=run.args.seed, masses=run.masses)
+                             seed=run.args.seed)
     run.written += result.write(run.outdir / where)
     return result.verdict
 
@@ -384,15 +371,31 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_binning(p: argparse.ArgumentParser) -> None:
+def _add_time_bins(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-bins", type=int, default=4)
     p.add_argument("--time-binning", choices=("width", "km"), default="width",
                    help="equal-width bins over event times, or bins of equal "
                         "product-limit mass")
+
+
+def _add_screen(p: argparse.ArgumentParser) -> None:
+    _add_time_bins(p)
     p.add_argument("--feature-bins", type=int, default=4)
     p.add_argument("--max-order", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--reliability", type=int, default=0, metavar="N",
                    help="attach reliability p-values from N noise replicates")
+
+
+def _add_n_sim(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-sim", type=int, default=10_000)
+
+
+def _add_subdivide(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--subdivide", metavar="FEATURE", required=required,
+                   help="analyze each category of FEATURE separately")
+    p.add_argument("--expand", metavar="BASE:EXT1,EXT2", type=_expansion,
+                   help="emit expansion dots in sub-collections "
+                        "(extensions joined with '+' fuse into pairs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,31 +416,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline: ranking, independence "
                                        "test, hazard-regression comparison")
     _add_common(p)
-    _add_binning(p)
+    _add_screen(p)
     p.add_argument("--no-cox", action="store_true")
-    p.add_argument("--n-sim", type=int, default=10_000)
-    p.add_argument("--subdivide", metavar="FEATURE",
-                   help="also analyze each category of FEATURE separately")
-    p.add_argument("--expand", metavar="BASE:EXT1,EXT2", type=_expansion,
-                   help="emit expansion dots in sub-collections "
-                        "(extensions joined with '+' fuse into pairs)")
+    _add_n_sim(p)
+    _add_subdivide(p, required=False)
 
     p = sub.add_parser("censor-test", help="censoring-independence diagnostic")
     _add_common(p)
-    p.add_argument("--time-bins", type=int, default=4)
-    p.add_argument("--time-binning", choices=("width", "km"), default="width")
-    p.add_argument("--n-sim", type=int, default=10_000)
+    _add_time_bins(p)
+    _add_n_sim(p)
 
     p = sub.add_parser("mfs", help="feature-set ranking only")
     _add_common(p)
-    _add_binning(p)
+    _add_screen(p)
 
     p = sub.add_parser("subdivide", help="per-category sub-collection reports")
     _add_common(p)
-    _add_binning(p)
-    p.add_argument("--subdivide", dest="subdivide", required=True,
-                   metavar="FEATURE")
-    p.add_argument("--expand", metavar="BASE:EXT1,EXT2", type=_expansion)
+    _add_screen(p)
+    _add_subdivide(p, required=True)
 
     p = sub.add_parser("cox", help="proportional-hazards fit")
     _add_common(p)

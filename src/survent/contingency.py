@@ -9,7 +9,8 @@ mass and contribute nothing to conditional entropy anyway.
 :func:`_compact` maps integer codes to 0-based indices over their observed
 values without sorting.  Every weighted cell comes from one kernel,
 :func:`_mass_cells`: a ``bincount`` per time bin over the (k, n) mass rows
-of :func:`binned_row_masses`; plain tables bincount a row-major cell index.
+of :func:`binned_row_masses`, a collection's own read from
+:func:`collection_masses`; plain tables bincount a row-major cell index.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .binning import BinningScheme, categorize
 from .data import Dataset
-from .redistribution import WeightMatrix, binned_row_masses
+from .redistribution import WeightMatrix, binned_row_masses, collection_masses
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,7 @@ def table_from_weights(W: WeightMatrix, row_cats: np.ndarray,
     return table_from_binned(masses, cats, row_labels=row_labels)
 
 
-def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme,
-                       masses: np.ndarray | None = None
+def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
                        ) -> tuple[ContingencyTable, ContingencyTable, ContingencyTable]:
     """Summed censoring-vs-event-time table plus its two addends.
 
@@ -221,9 +221,8 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme,
     a status vector (the observed ``dataset.delta``, or its flip), indexed
     by their own time bin, on :func:`binned_row_masses` under that vector.
     This equals the cascade tables of :func:`build_cross_weight_matrix`
-    without the O(n_c * n) matrices.  ``masses`` is the collection's (k, n)
-    :func:`binned_row_masses` layout under the observed statuses, built here
-    when omitted; the flipped addend always builds its own.
+    without the O(n_c * n) matrices.  The observed addend reads
+    :func:`collection_masses`; the flipped one builds its own.
     """
     if dataset.n_u == 0 or dataset.n_c == 0:
         raise ValueError("cross tables need both censored and uncensored records")
@@ -231,15 +230,16 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme,
     labels = tuple(range(1, k + 1))
     own_bin, _ = categorize(dataset.y, time_scheme)
 
-    def own_bin_grid(delta: np.ndarray, M: np.ndarray | None) -> np.ndarray:
+    def own_bin_grid(delta: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Masses of the rows censored under ``delta``, by their own bin."""
-        if M is None:
-            M, _ = binned_row_masses(dataset.y, delta, time_scheme)
         keep = delta == 0
         return _mass_cells(own_bin[keep] - 1, M[:, keep], k)
 
-    c_cells = own_bin_grid(dataset.delta, masses)
-    t_cells = own_bin_grid(1 - dataset.delta, None).T  # rows: censoring bins
+    c_cells = own_bin_grid(dataset.delta,
+                           collection_masses(dataset, time_scheme))
+    flipped = 1 - dataset.delta
+    flipped_masses, _ = binned_row_masses(dataset.y, flipped, time_scheme)
+    t_cells = own_bin_grid(flipped, flipped_masses).T  # rows: censoring bins
     c_tab = ContingencyTable(labels, labels, c_cells)
     t_tab = ContingencyTable(labels, labels, t_cells)
     summed = ContingencyTable(labels, labels, c_cells + t_cells)

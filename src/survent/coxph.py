@@ -20,6 +20,10 @@ import numpy as np
 
 from .data import Dataset
 
+_MAX_ITER = 50  # Newton steps
+_TOL = 1e-9  # relative likelihood slack
+_BETA_BOUND = 50.0  # largest |coefficient| not read as monotone likelihood
+
 
 @dataclass
 class CoxFit:
@@ -115,14 +119,12 @@ def partial_loglik(beta: Sequence[float], dataset: Dataset,
     return ll, grad
 
 
-def fit(dataset: Dataset, features: Sequence[str] | None = None,
-        max_iter: int = 50, tol: float = 1e-9,
-        beta_bound: float = 50.0) -> CoxFit:
+def fit(dataset: Dataset, features: Sequence[str] | None = None) -> CoxFit:
     """Maximize the Breslow partial likelihood by damped Newton steps.
 
     Each iteration solves for the Newton step.  When its decrement
     g'(-H)^-1 g / 2, the likelihood gain the step predicts, is at most
-    ``tol * |loglik|``, the step is taken and the fit is converged; a
+    ``_TOL * |loglik|``, the step is taken and the fit is converged; a
     relative rule, so it holds at every n (R's ``survival`` stops on a
     relative loglik change of 1e-9 too).  Otherwise the step is halved until
     the likelihood does not drop by more than that same slack.
@@ -131,8 +133,8 @@ def fit(dataset: Dataset, features: Sequence[str] | None = None,
     Standard errors come from the inverse observed information; when the
     information matrix is singular the affected coefficients are reported
     without p-values and the fit is flagged.  Coefficients running past
-    ``beta_bound`` are read as monotone likelihood and reported as
-    non-convergence.
+    ``_BETA_BOUND`` are read as monotone likelihood and reported as
+    non-convergence; at most ``_MAX_ITER`` Newton steps are taken.
     """
     names, X = _design(dataset, features)
     if dataset.n_u == 0:
@@ -145,13 +147,13 @@ def fit(dataset: Dataset, features: Sequence[str] | None = None,
     singular = False
     message = ""
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(-hess, grad, rcond=None)
             singular = True
-        slack = tol * abs(ll)
+        slack = _TOL * abs(ll)
         if grad @ step / 2.0 <= slack:
             beta = beta + step
             ll, grad, hess = _loglik_parts(beta, *prep, want_hessian=True)
@@ -169,18 +171,18 @@ def fit(dataset: Dataset, features: Sequence[str] | None = None,
             break
         beta = cand
         ll, grad, hess = _loglik_parts(beta, *prep, want_hessian=True)
-        if np.abs(beta).max() > beta_bound:
+        if np.abs(beta).max() > _BETA_BOUND:
             message = ("coefficient escaped past "
-                       f"{beta_bound}; monotone likelihood suspected")
+                       f"{_BETA_BOUND}; monotone likelihood suspected")
             break
     else:
-        message = f"no convergence in {max_iter} iterations"
+        message = f"no convergence in {_MAX_ITER} iterations"
     if converged and np.abs(beta).max() > 2.0:
         # the decrement can fall below the slack on a separable fit long
         # before the coefficient bound trips; probe whether the likelihood
         # still fails to drop when the coefficients double
         ll_far, _, _ = _loglik_parts(2.0 * beta, *prep, want_hessian=False)
-        if ll_far >= ll - tol * abs(ll):
+        if ll_far >= ll - _TOL * abs(ll):
             converged = False
             message = ("likelihood is nondecreasing toward infinite "
                        "coefficients; monotone likelihood suspected")

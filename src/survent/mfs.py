@@ -36,7 +36,7 @@ from .entropy import (
     interacting_flag,
     sce_drop,
 )
-from .redistribution import binned_row_masses
+from .redistribution import collection_masses
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
             cats: CategorizedFeatures | None = None,
             max_order: int = 2,
             features: Sequence[str] | None = None,
-            n_bins: int = 4,
-            masses: np.ndarray | None = None) -> dict[int, MFSReport]:
+            n_bins: int = 4) -> dict[int, MFSReport]:
     """Evaluate all feature sets up to ``max_order`` and rank them.
 
     Orders above 3 are rejected: with composite categories multiplying per
@@ -177,15 +176,15 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     ``subcollection`` tag (or "whole sample"); a set is called
     interacting by :func:`interacting_flag` with its default factor 3.
 
-    ``masses`` is the collection's (k, n) :func:`binned_row_masses` layout
-    under ``time_scheme``, built here when omitted; the response margin is
-    its one-row table.  Feature sets are streamed, and fused on the
-    1-based category codes of ``cats``: a pair (a, b) is the mixed-radix
-    code ``code_a * (len(levels_b) + 1) + code_b``, which its table
-    compacts once.  ``itertools.combinations`` varies the third member
-    fastest, so each (a, b) of a triple is compacted once and serves as the
-    high digit of all its triples (a, b, c).  Ascending mixed-radix codes
-    are lexicographic in the member codes, so rows, cells and entropies are
+    The mass rows are the collection's :func:`collection_masses` under
+    ``time_scheme``; the response margin is their one-row table.  Feature
+    sets are streamed, and fused on the 1-based category codes of ``cats``:
+    a pair (a, b) is the mixed-radix code
+    ``code_a * (len(levels_b) + 1) + code_b``, which its table compacts
+    once.  ``itertools.combinations`` varies the third member fastest, so
+    each (a, b) of a triple is compacted once and serves as the high digit
+    of all its triples (a, b, c).  Ascending mixed-radix codes are
+    lexicographic in the member codes, so rows, cells and entropies are
     those of fusing each set on its own.  Every set of order >= 2 splits
     into its best sub-set (largest drop) and the added member; its
     ecological term is ``drop - drop[best] - drop[added]``, the interaction
@@ -198,8 +197,7 @@ def run_mfs(dataset: Dataset, time_scheme: BinningScheme,
     if cats is None:
         cats = categorize_features(dataset, n_bins=n_bins)
     names = list(features) if features is not None else list(cats.names)
-    if masses is None:
-        masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
+    masses = collection_masses(dataset, time_scheme)
     h_response = _response_entropy(masses)
 
     code_of = {f: cats.column(f) for f in names}
@@ -274,17 +272,16 @@ class ReliabilityNull:
 
 
 def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
-                     n_rep: int = 200, n_bins: int = 4, seed: int = 0,
-                     masses: np.ndarray | None = None) -> ReliabilityNull:
+                     n_rep: int = 200, n_bins: int = 4,
+                     seed: int = 0) -> ReliabilityNull:
     """Null CE distribution from ``n_rep`` synthetic uniform features.
 
     Each replicate draws a fresh Uniform[0, 1] feature, bins it like a real
     covariate (``n_bins`` equal-width bins over its own range), and
     evaluates the conditional entropy on the same weight structure as the
     observed analysis.  Replicate ``i`` owns the RNG substream spawned at
-    index ``i``, so results do not depend on execution order.  ``masses``
-    is the collection's (k, n) :func:`binned_row_masses` layout, built here
-    when omitted.
+    index ``i``, so results do not depend on execution order.  The mass
+    rows are the collection's :func:`collection_masses`.
 
     Replicates run one at a time.  Each one's (``n_bins``, k) table is one
     :func:`_mass_cells` call on the shared mass rows, and all CEs come from
@@ -299,8 +296,7 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
         raise ValueError("n_rep must be at least 1")
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
-    if masses is None:
-        masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
+    masses = collection_masses(dataset, time_scheme)
     count = np.empty(dataset.n, dtype=np.min_scalar_type(n_bins))
     cells = np.empty((n_rep, n_bins, masses.shape[0]))
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_rep)):
@@ -351,7 +347,7 @@ def subdivide(dataset: Dataset, cats: CategorizedFeatures,
 class MCEResult:
     names: tuple[str, ...]
     matrix: np.ndarray
-    threshold: float
+    threshold: float = 0.97  # pairs scoring below it are linked
 
     @property
     def edges(self) -> list[tuple[str, str, float]]:
@@ -372,8 +368,7 @@ class MCEResult:
 
 
 def mce_matrix(cats: CategorizedFeatures,
-               features: Sequence[str] | None = None,
-               threshold: float = 0.97) -> MCEResult:
+               features: Sequence[str] | None = None) -> MCEResult:
     """Symmetric covariate-association matrix on unweighted counts.
 
     Score of a pair is ``max(H[A|B]/H[A], H[B|A]/H[B])``: 0 when either
@@ -400,7 +395,7 @@ def mce_matrix(cats: CategorizedFeatures,
         h_ab = _entropy_of_counts(np.bincount(joint))
         out[i, j] = out[j, i] = max((h_ab - ents[b]) / ents[a],
                                     (h_ab - ents[a]) / ents[b])
-    return MCEResult(names, out, threshold)
+    return MCEResult(names, out)
 
 
 @dataclass(frozen=True)
@@ -437,20 +432,19 @@ class CEExpansion:
 
 def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
                  cats: CategorizedFeatures, base: str,
-                 extensions: Sequence[str | Sequence[str]] = (),
-                 masses: np.ndarray | None = None) -> CEExpansion:
+                 extensions: Sequence[str | Sequence[str]] = ()
+                 ) -> CEExpansion:
     """Per-category rescaled conditional entropies for a base feature and
     its refinements, within one (sub-)collection.
 
     Every category of ``base``, and every observed composite category of
     ``(base, extension...)``, contributes a dot: the row's entropy divided
     by the response's marginal entropy in this collection, together with
-    the row mass and the dominant response category.  ``masses`` is the
-    collection's (k, n) :func:`binned_row_masses` layout, built here when
-    omitted; the response margin is its one-row table.
+    the row mass and the dominant response category.  The mass rows are
+    the collection's :func:`collection_masses`; the response margin is
+    their one-row table.
     """
-    if masses is None:
-        masses, _ = binned_row_masses(dataset.y, dataset.delta, time_scheme)
+    masses = collection_masses(dataset, time_scheme)
     h_resp = _response_entropy(masses)
     if h_resp <= 0:
         raise ValueError("response has zero entropy in this collection")

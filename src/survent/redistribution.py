@@ -13,7 +13,7 @@ Two constructions are provided:
   censored row's weight on event time ``t_j > y_i`` is the Kaplan-Meier
   jump at ``t_j`` divided by the survival just after ``y_i``.  Its (k, n)
   per-bin mass rows are the one mass layout every weighted table is built
-  from.
+  from, once per collection and time scheme (:func:`collection_masses`).
 * :func:`build_weight_matrix` and :func:`build_cross_weight_matrix`
   materialize the dense subject-by-event-time matrix via the literal
   cascade.  They are the paper's reference construction, kept for
@@ -22,6 +22,7 @@ Two constructions are provided:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,19 @@ def binned_row_masses(y: np.ndarray, delta: np.ndarray,
     out = np.empty_like(M)
     out[:, order] = M
     return out, col_times
+
+
+_MASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def collection_masses(dataset: Dataset, scheme: BinningScheme) -> np.ndarray:
+    """The dataset's read-only (k, n) :func:`binned_row_masses` under its
+    observed statuses, built once per (dataset, scheme) while it lives."""
+    memo = _MASSES.setdefault(dataset, {})
+    if scheme not in memo:
+        memo[scheme], _ = binned_row_masses(dataset.y, dataset.delta, scheme)
+        memo[scheme].setflags(write=False)
+    return memo[scheme]
 
 
 def build_cross_weight_matrix(dataset: Dataset, direction: str) -> WeightMatrix:

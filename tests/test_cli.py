@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -24,6 +25,7 @@ from survent import (
     subdivide,
 )
 import survent.cli as cli
+from survent import redistribution
 from survent.cli import main
 
 
@@ -229,6 +231,7 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
     ("mfs", ["--time-bins", "1"]),
     ("mfs", ["--feature-bins", "1"]),
     ("mfs", ["--reliability", "-5"]),
+    ("cox", ["--features", "V1,V1"]),
 ])
 def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
                                                opts, capsys):
@@ -590,18 +593,19 @@ def test_binned_masses_and_categories_built_once_per_collection(
     """The whole sample and each sub-collection build their categories and
     binned mass rows once, every stage reuses them, and every collection's
     mass rows are binned on the whole sample's time scheme."""
-    calls = {"binned_row_masses": [], "categorize_features": []}
+    owners = {"binned_row_masses": redistribution, "categorize_features": cli}
+    calls = {name: [] for name in owners}
 
     def counted(name):
-        original = getattr(cli, name)
+        original = getattr(owners[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counted(name))
     data = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "200", "--censor-rate", "0.3",
                  "--out", str(data)]) == 0
@@ -620,3 +624,21 @@ def test_binned_masses_and_categories_built_once_per_collection(
     assert len(calls["binned_row_masses"]) == 1 + n_subs
     whole = calls["binned_row_masses"][0][2]
     assert all(args[2] is whole for args in calls["binned_row_masses"])
+
+
+def test_shared_options_are_declared_alike():
+    """An option that several subcommands accept has the same type, default,
+    choices and help in each."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    seen: dict[str, dict] = {}
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                seen.setdefault(option, {})[command] = (
+                    action.type, action.default, action.choices, action.help)
+    shared = {o: by for o, by in seen.items() if len(by) > 1}
+    assert {"--time-bins", "--time-binning", "--n-sim", "--subdivide",
+            "--expand"} <= shared.keys()
+    for option, by_command in shared.items():
+        assert len(set(by_command.values())) == 1, (option, by_command)

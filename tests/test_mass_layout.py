@@ -4,6 +4,9 @@ accumulations they replaced."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,10 +22,13 @@ from survent import (
     equal_width_bins,
     explicit_bins,
     fuse_categories,
+    reliability_null,
     run_mfs,
     table_from_binned,
 )
+from survent import redistribution
 from survent.entropy import _entropy_of_counts
+from survent.redistribution import collection_masses
 
 from conftest import make_random_dataset, make_tied_dataset
 
@@ -125,3 +131,63 @@ def test_response_margin_bit_identical_to_row_order_sum(seed, n, tied):
     reports = run_mfs(ds, scheme, cats=cats, max_order=1)
     assert reports[1].h_response == expected
     assert ce_expansion(ds, scheme, cats, "V1").h_response == expected
+
+
+def counted_builds(monkeypatch) -> list:
+    """Record the schemes of every build that goes through the memo."""
+    builds = []
+    original = redistribution.binned_row_masses
+
+    def counted(y, delta, scheme):
+        builds.append(scheme)
+        return original(y, delta, scheme)
+    monkeypatch.setattr(redistribution, "binned_row_masses", counted)
+    return builds
+
+
+@pytest.mark.filterwarnings("ignore:.*composite categories:UserWarning")
+def test_collection_masses_built_once_across_stages(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    ds = make_random_dataset(7, n=300, censor_frac=0.4)
+    scheme = equal_width_bins(ds.y, 5)
+    cats = categorize_features(ds, n_bins=3)
+    run_mfs(ds, scheme, cats=cats, max_order=2)
+    reliability_null(ds, scheme, n_rep=5, seed=1)
+    ce_expansion(ds, scheme, cats, "V1", ["V2"])
+    censor_cross_table(ds, scheme)
+    assert builds == [scheme]
+
+
+def test_collection_masses_memo_is_keyed_by_scheme_value(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    ds = make_random_dataset(8, n=120)
+    first = collection_masses(ds, explicit_bins([0.0, 1.0, 2.0, 50.0]))
+    again = collection_masses(ds, explicit_bins([0, 1, 2, 50]))
+    assert again is first
+    other = collection_masses(ds, explicit_bins([0.0, 1.5, 50.0]))
+    assert other.shape == (2, ds.n)
+    assert len(builds) == 2
+
+
+def test_collection_masses_read_only_and_bit_identical():
+    ds = make_tied_dataset(9, 400)
+    scheme = equal_width_bins(ds.y, 6)
+    masses = collection_masses(ds, scheme)
+    expected, _ = binned_row_masses(ds.y, ds.delta, scheme)
+    assert not masses.flags.writeable
+    with pytest.raises(ValueError):
+        masses[0, 0] = 1.0
+    assert masses.dtype == expected.dtype
+    assert masses.tobytes() == expected.tobytes()
+
+
+def test_collection_masses_entry_dies_with_its_dataset():
+    ds = make_random_dataset(10, n=80)
+    masses = weakref.ref(collection_masses(ds, equal_width_bins(ds.y, 4)))
+    assert ds in redistribution._MASSES
+    assert masses() is not None  # the memo holds the rows
+    ds_ref = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert ds_ref() is None
+    assert masses() is None

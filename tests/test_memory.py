@@ -1,5 +1,6 @@
 """Working-memory bounds of the streamed layers at n = 10^4, measured with
-tracemalloc (numpy reports its buffers to it)."""
+tracemalloc (numpy reports its buffers to it).  A stage measured on built
+mass rows warms the collection_masses memo first."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from survent import (
     run_mfs,
     table_from_binned,
 )
+from survent.redistribution import collection_masses
 
 MiB = 2 ** 20
 
@@ -62,15 +64,14 @@ def test_run_mfs_peak_keeps_no_composite_tables(sample):
 
 
 def test_run_mfs_peak_holds_no_per_feature_codes(sample):
-    # on given masses the screen peaks at about 0.6 MiB here; one int64
+    # on built masses the screen peaks at about 0.6 MiB here; one int64
     # copy of each feature's codes alone would add 0.76 MiB
     scheme = equal_width_bins(sample.y, 10)
-    masses, _ = binned_row_masses(sample.y, sample.delta, scheme)
+    collection_masses(sample, scheme)
     cats = categorize_features(sample, n_bins=10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # order-3 size guard
-        peak = traced_peak(run_mfs, sample, scheme, cats=cats, max_order=3,
-                           masses=masses)
+        peak = traced_peak(run_mfs, sample, scheme, cats=cats, max_order=3)
     assert peak < 1 * MiB
 
 
@@ -86,9 +87,9 @@ def test_reliability_null_peak_holds_one_replicate(sample):
     # one replicate's draws at a time plus the 200 x 10 x 10 cells; copying
     # the mass rows once per replicate of a block was 3.65 MiB here
     scheme = equal_width_bins(sample.y, 10)
-    masses, _ = binned_row_masses(sample.y, sample.delta, scheme)
+    collection_masses(sample, scheme)
     peak = traced_peak(reliability_null, sample, scheme, n_rep=200,
-                       n_bins=10, masses=masses)
+                       n_bins=10)
     assert peak < 1 * MiB
 
 
@@ -102,11 +103,10 @@ def test_pair_terms_build_no_levels_squared_table():
                  X=np.column_stack([rng.permutation(n), rng.permutation(n)]),
                  feature_kinds=["categorical", "categorical"])
     scheme = equal_width_bins(ds.y, 10)
-    masses, _ = binned_row_masses(ds.y, ds.delta, scheme)
+    collection_masses(ds, scheme)
     cats = categorize_features(ds)
     assert traced_peak(mce_matrix, cats) < 2 * MiB
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # size guard
-        peak = traced_peak(run_mfs, ds, scheme, cats=cats, max_order=2,
-                           masses=masses)
+        peak = traced_peak(run_mfs, ds, scheme, cats=cats, max_order=2)
     assert peak < 2 * MiB

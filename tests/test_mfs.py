@@ -406,17 +406,16 @@ def test_reliability_null_matches_per_replicate_tables(n, n_bins, anchor_set,
     else:
         ds, scheme = null_case(n)
     for sub in anchored_subcollections(ds, anchor_set):
-        masses, _ = binned_row_masses(sub.y, sub.delta, scheme)
         try:
             expected = null_per_replicate(sub, scheme, n_rep, n_bins,
                                           seed=n_rep)
         except DegenerateRangeError:
             with pytest.raises(DegenerateRangeError):
                 reliability_null(sub, scheme, n_rep=n_rep, n_bins=n_bins,
-                                 seed=n_rep, masses=masses)
+                                 seed=n_rep)
             continue
         null = reliability_null(sub, scheme, n_rep=n_rep, n_bins=n_bins,
-                                seed=n_rep, masses=masses)
+                                seed=n_rep)
         assert null.ces.shape == (n_rep,)
         np.testing.assert_allclose(null.ces, expected, rtol=0, atol=1e-12)
 
