@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .binning import (
     BinningScheme,
     DegenerateRangeError,
+    DegenerateSampleError,
     InfeasibleBinningError,
     categorize,
     equal_width_bins,
@@ -22,7 +23,6 @@ from .binning import (
 )
 from .censor_test import (
     CensorTestResult,
-    DegenerateMarginalError,
     run_censor_test,
 )
 from .contingency import (
@@ -97,8 +97,8 @@ __all__ = [
     "ContingencyTable",
     "CoxFit",
     "Dataset",
-    "DegenerateMarginalError",
     "DegenerateRangeError",
+    "DegenerateSampleError",
     "InfeasibleBinningError",
     "MCEResult",
     "MFSReport",

@@ -18,7 +18,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .data import Dataset
 
 
-class DegenerateRangeError(ValueError):
+class DegenerateSampleError(ValueError):
+    """The sample cannot support the computation; the message says why."""
+
+
+class DegenerateRangeError(DegenerateSampleError):
     """All values equal: no finite-width bins exist."""
 
 

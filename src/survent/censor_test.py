@@ -18,17 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .binning import BinningScheme
+from .binning import BinningScheme, DegenerateSampleError
 from .contingency import ContingencyTable, censor_cross_table
 from .data import Dataset
 from .entropy import _entropies_of_rows, _entropy_of_counts
 
 _ALPHA = 0.05  # verdict: rejected unless every valid p exceeds it
-
-
-class DegenerateMarginalError(ValueError):
-    """A marginal of the summed table has zero entropy: nothing to rescale
-    the conditional entropies by."""
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -180,8 +175,11 @@ def run_censor_test(dataset: Dataset | None = None,
     Either give a dataset plus the time-bin scheme (the summed
     censoring-vs-event table is built by redistribution), or feed a
     prebuilt ``table`` directly.  Row totals are fractional after
-    redistribution; multinomial draws use them rounded half-up.  Each
-    row's and column's p-value is two-sided on its null sample.
+    redistribution; multinomial draws use them rounded half-up, and a row
+    or column that rounds to no draws is skipped with a note naming its
+    mass.  Each row's and column's p-value is two-sided on its null sample.
+    A zero-entropy marginal, or a cross table without events or censored
+    records, raises :class:`DegenerateSampleError`.
     """
     notes: list[str] = []
     if table is not None:
@@ -195,16 +193,17 @@ def run_censor_test(dataset: Dataset | None = None,
     h_col = _entropy_of_counts(table.col_sums())
     h_row = _entropy_of_counts(table.row_sums())
     if h_col <= 0 or h_row <= 0:
-        raise DegenerateMarginalError(
-            "degenerate marginal: cannot rescale conditional entropies")
+        raise DegenerateSampleError("degenerate marginal")
 
     ss = np.random.SeedSequence(seed).spawn(2)
     rows = _axis_test(table.cells, h_col, n_sim, np.random.default_rng(ss[0]))
     cols = _axis_test(table.cells.T, h_row, n_sim, np.random.default_rng(ss[1]))
-    for i in rows.skipped:
-        notes.append(f"row {table.row_labels[i]} has zero mass; skipped")
-    for j in cols.skipped:
-        notes.append(f"column {table.col_labels[j]} has zero mass; skipped")
+    for kind, axis, labels in (("row", rows, table.row_labels),
+                               ("column", cols, table.col_labels)):
+        for i in axis.skipped:
+            mass = (f"mass {axis.totals[i]:.6g} (rounds to no draws)"
+                    if axis.totals[i] > 0 else "zero mass")
+            notes.append(f"{kind} {labels[i]} has {mass}; skipped")
 
     valid_p = np.concatenate((rows.p_values[~np.isnan(rows.p_values)],
                               cols.p_values[~np.isnan(cols.p_values)]))

@@ -11,19 +11,18 @@ sample, so it is categorised exactly as the whole sample is (the config's
 explicit edges where given, else ``--feature-bins`` equal-width bins over its
 own range) and binned on the whole sample's time bins.
 
-``analyze`` skips a stage that its sample cannot support, with a
-``UserWarning`` that names the collection and the reason, and still writes
-its manifest: the Cox fit on a sample with no events, and the censor test on
-a sample with no events, no censored records or a degenerate (zero-entropy)
-marginal.  The ``cox`` and ``censor-test`` commands exit 1 on such a sample
-before writing anything.
+A stage whose library call finds the collection degenerate
+(:class:`DegenerateSampleError`) is skipped with a ``<collection>: <reason>;
+<stage> skipped`` ``UserWarning``, listed under ``skipped`` in the manifest,
+and the run goes on; the ``cox`` and ``censor-test`` commands, whose only
+stage it is, exit 1 before writing anything.
 
 Every run writes ``manifest.json`` next to its outputs: command, argv,
 version, seed, the sha256 of every input and output, timings, and under
 ``config`` the parsed ``options``, the column config (``columns``) and the
-response-time edges (``time_edges``) when the command reads an input, and
+response-time edges (``time_edges``) when the command reads an input,
 under ``clamps`` each categorised collection's per-feature count of values
-clamped into a terminal bin.
+clamped into a terminal bin, and under ``skipped`` each skipped stage.
 Identical invocations produce byte-identical outputs apart from the
 manifest timestamps.
 
@@ -32,12 +31,13 @@ The last covers an unreadable or invalid config (repeated feature names,
 bin edges that are not strictly increasing, a ``bins`` entry that names
 neither the time column nor a listed feature, and a ``kinds`` entry that
 names no listed feature or a kind other than ``continuous`` and
-``categorical`` included), an unreadable input, a feature named by
-``--subdivide``, ``--expand`` or ``--features`` that the config does not
-list, a feature that ``--features`` names twice, ``analyze --expand``
-without ``--subdivide``, ``--time-bins`` or ``--feature-bins`` below 2,
-``--n-sim`` below 1, a negative ``--reliability``, and invalid
-``simulate`` settings; all of them are found before any output is
+``categorical`` included), an unreadable input, an input whose header
+names a selected column twice, a feature named by ``--subdivide``,
+``--expand`` or ``--features`` that the config does not list, a feature
+that ``--features`` names twice, ``analyze --expand`` without
+``--subdivide``, ``--time-bins`` or ``--feature-bins`` below 2,
+``--n-sim`` below 1, a negative ``--reliability`` or ``--seed``, and
+invalid ``simulate`` settings; all of them are found before any output is
 written.  Runtime errors are found that early only when they stop the run
 before its first write (a sample whose times are all equal has no time
 bins, say); one raised by a later stage leaves the files written before
@@ -54,19 +54,20 @@ import json
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .binning import BinningScheme, equal_width_bins, explicit_bins, km_quantile_bins
-from .censor_test import DegenerateMarginalError, run_censor_test
+from .binning import (BinningScheme, DegenerateSampleError, equal_width_bins,
+                      explicit_bins, km_quantile_bins)
+from .censor_test import run_censor_test
 from .coxph import fit as cox_fit
 from .data import ColumnConfig, ConfigError, Dataset, ingest_csv
 from .mfs import (
     CategorizedFeatures,
     CEExpansion,
-    _response_entropy,
     categorize_features,
     ce_expansion,
     mce_matrix,
@@ -74,7 +75,6 @@ from .mfs import (
     run_mfs,
     subdivide,
 )
-from .redistribution import collection_masses
 from .simgen import SimConfig, generate, write_dataset_csv
 
 
@@ -121,11 +121,12 @@ class Manifest:
             "config": {},
             "inputs": {},
             "outputs": {},
+            "skipped": [],
         }
         opts = vars(args)
         self.features: list[str] | None = opts.get("features")
         for option, least in (("time_bins", 2), ("feature_bins", 2),
-                              ("n_sim", 1), ("reliability", 0)):
+                              ("n_sim", 1), ("reliability", 0), ("seed", 0)):
             if opts.get(option, least) < least:
                 raise UsageError(f"--{option.replace('_', '-')} must be at "
                                  f"least {least}")
@@ -195,6 +196,17 @@ class Manifest:
                           outdir=self.outdir / name, scheme=self.scheme)
         return part
 
+    @contextmanager
+    def skipping(self, stage: str):
+        """Run ``stage``; if its library call finds the collection
+        degenerate, warn, record the skip and go on."""
+        try:
+            yield
+        except DegenerateSampleError as exc:
+            warnings.warn(f"{self.name}: {exc}; {stage} skipped", stacklevel=3)
+            self.record["skipped"].append(
+                {"collection": self.name, "stage": stage, "reason": str(exc)})
+
     @cached_property
     def outdir(self) -> Path:
         opts = vars(self.args)
@@ -262,21 +274,10 @@ def cmd_simulate(run: Manifest) -> str:
 def cmd_analyze(run: Manifest) -> None:
     cmd_mfs(run)
     if not run.args.no_cox:
-        if run.dataset.n_u:
+        with run.skipping("Cox fit"):
             cmd_cox(run)
-        else:
-            warnings.warn(f"{run.name}: no events; Cox fit skipped",
-                          stacklevel=2)
-    if run.dataset.n_c and run.dataset.n_u:
-        try:
-            cmd_censor_test(run, Path("censor_test"))
-        except DegenerateMarginalError:
-            warnings.warn(f"{run.name}: degenerate marginal; censor test "
-                          "skipped", stacklevel=2)
-    else:
-        reason = "no censored records" if run.dataset.n_u else "no events"
-        warnings.warn(f"{run.name}: {reason}; censor test skipped",
-                      stacklevel=2)
+    with run.skipping("censor test"):
+        cmd_censor_test(run, Path("censor_test"))
     mce = mce_matrix(run.cats)
     run.write_rows("mce_matrix.csv", mce.to_rows(), ["", *mce.names])
     run.write_rows("mce_edges.csv",
@@ -289,17 +290,14 @@ def cmd_analyze(run: Manifest) -> None:
 def cmd_mfs(run: Manifest) -> None:
     """Ranked feature sets (and the reliability null with
     ``--reliability``) of the run's collection, the whole sample or a
-    :meth:`Manifest.part`.  A collection of fewer than 2 records has no
-    noise range: its null is header-only."""
+    :meth:`Manifest.part`; a skipped null is header-only.  The time scheme
+    is built here, outside any skip, so an unbinnable sample stops the run."""
     args = run.args
     reports = run_mfs(run.dataset, run.scheme, cats=run.cats,
                       max_order=args.max_order, features=run.features)
     if args.reliability > 0:
         ces = []
-        if run.dataset.n < 2:
-            warnings.warn(f"{run.name}: fewer than 2 records; "
-                          "reliability null skipped", stacklevel=2)
-        else:
+        with run.skipping("reliability null"):
             null = reliability_null(run.dataset, run.scheme,
                                     n_rep=args.reliability,
                                     n_bins=args.feature_bins, seed=args.seed)
@@ -322,10 +320,7 @@ def cmd_subdivide(run: Manifest) -> None:
         cmd_mfs(part)
         if run.args.expand:
             rows = []
-            if _response_entropy(collection_masses(sub, part.scheme)) <= 0:
-                warnings.warn(f"{part.name}: response has zero entropy; "
-                              "ce_expansion skipped", stacklevel=2)
-            else:
+            with part.skipping("ce_expansion"):
                 rows = ce_expansion(sub, part.scheme, part.cats,
                                     *run.args.expand).to_rows()
             part.write_rows("ce_expansion.csv", rows, CEExpansion.COLUMNS)

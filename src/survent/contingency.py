@@ -22,7 +22,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .binning import BinningScheme, categorize
+from .binning import BinningScheme, DegenerateSampleError, categorize
 from .data import Dataset
 from .redistribution import WeightMatrix, binned_row_masses, collection_masses
 
@@ -222,10 +222,12 @@ def censor_cross_table(dataset: Dataset, time_scheme: BinningScheme
     by their own time bin, on :func:`binned_row_masses` under that vector.
     This equals the cascade tables of :func:`build_cross_weight_matrix`
     without the O(n_c * n) matrices.  The observed addend reads
-    :func:`collection_masses`; the flipped one builds its own.
+    :func:`collection_masses`; the flipped one builds its own.  A sample
+    lacking either kind raises :class:`DegenerateSampleError`.
     """
     if dataset.n_u == 0 or dataset.n_c == 0:
-        raise ValueError("cross tables need both censored and uncensored records")
+        raise DegenerateSampleError("no censored records" if dataset.n_u
+                                    else "no events")
     k = time_scheme.nbins
     labels = tuple(range(1, k + 1))
     own_bin, _ = categorize(dataset.y, time_scheme)

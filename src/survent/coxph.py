@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .binning import DegenerateSampleError
 from .data import Dataset
 
 _MAX_ITER = 50  # Newton steps
@@ -67,6 +68,8 @@ def _prepare(dataset: Dataset, X: np.ndarray):
     order = np.argsort(dataset.y, kind="stable")
     y = dataset.y[order]
     ev = dataset.delta[order].astype(bool)
+    if not ev.any():
+        raise DegenerateSampleError("no events")
     Xs = X[order]
     n = y.size
     runs = np.ones(n, dtype=bool)
@@ -107,13 +110,12 @@ def _loglik_parts(beta: np.ndarray, Xs: np.ndarray, gstart: np.ndarray,
 def partial_loglik(beta: Sequence[float], dataset: Dataset,
                    features: Sequence[str] | None = None
                    ) -> tuple[float, np.ndarray]:
-    """Partial log-likelihood and its analytic gradient at ``beta``."""
+    """Partial log-likelihood and its analytic gradient at ``beta``; a
+    sample without events raises :class:`DegenerateSampleError`."""
     names, X = _design(dataset, features)
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (len(names),):
         raise ValueError("beta length must match the feature list")
-    if dataset.n_u == 0:
-        raise ValueError("no events")
     ll, grad, _ = _loglik_parts(beta, *_prepare(dataset, X),
                                 want_hessian=False)
     return ll, grad
@@ -134,11 +136,10 @@ def fit(dataset: Dataset, features: Sequence[str] | None = None) -> CoxFit:
     information matrix is singular the affected coefficients are reported
     without p-values and the fit is flagged.  Coefficients running past
     ``_BETA_BOUND`` are read as monotone likelihood and reported as
-    non-convergence; at most ``_MAX_ITER`` Newton steps are taken.
+    non-convergence; at most ``_MAX_ITER`` Newton steps are taken.  A
+    sample without events raises :class:`DegenerateSampleError`.
     """
     names, X = _design(dataset, features)
-    if dataset.n_u == 0:
-        raise ValueError("no events")
     prep = _prepare(dataset, X)
     p = len(names)
     beta = np.zeros(p)

@@ -138,7 +138,7 @@ class Dataset:
     delta : array of int
         1 for an observed event, 0 for a right-censored subject.
     X : 2-D array, shape (n, n_features)
-        Covariate matrix (may be empty with 0 columns).
+        Covariate matrix, finite (may be empty with 0 columns).
     feature_names, feature_kinds
         Column labels and per-feature "continuous"/"categorical" tags.
     hidden : mapping of name -> array
@@ -173,6 +173,8 @@ class Dataset:
         self.X = np.asarray(X, dtype=float)
         if self.X.ndim != 2 or self.X.shape[0] != n:
             raise ValueError("covariate matrix must be 2-D with one row per record")
+        if not np.isfinite(self.X).all():
+            raise ValueError("covariates must be finite")
         if feature_names is None:
             feature_names = [f"V{j + 1}" for j in range(self.X.shape[1])]
         self.feature_names = tuple(str(f) for f in feature_names)
@@ -256,12 +258,17 @@ class Dataset:
 
 def _parse_cell(text: str, column: str, row: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(
             f"non-numeric value {text!r} in column {column!r} at data row {row}",
             row=row,
         ) from None
+    if not np.isfinite(value):
+        raise ParseError(
+            f"non-finite value {text!r} in column {column!r} at data row {row}",
+            row=row)
+    return value
 
 
 # rows read, transposed and parsed at once by ingest_csv: bounds its memory
@@ -272,13 +279,15 @@ def _parse_column(cells: tuple[str, ...], column: str, first_row: int,
                   status: bool = False) -> np.ndarray:
     """Float values of one column of a chunk whose first row is
     ``first_row``.  Raises the :class:`ParseError` of the column's first bad
-    cell; with ``status``, a parsed value other than 0 or 1 is bad too."""
+    cell (unparsable or not finite); with ``status``, a parsed value other
+    than 0 or 1 is bad too."""
     try:
         values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         pass  # the scan below finds the cell
     else:
-        if not status or np.all((values == 0) | (values == 1)):
+        if np.isfinite(values).all() and (
+                not status or np.all((values == 0) | (values == 1))):
             return values
     for row, text in enumerate(cells, start=first_row):
         value = _parse_cell(text, column, row)
@@ -295,7 +304,8 @@ def ingest_csv(path: str | Path, config: ColumnConfig | Mapping | str | Path) ->
     ``config`` names the time, status and feature columns (a
     :class:`ColumnConfig`, a dict, or a path to a JSON config file).  Rows
     with missing values in any selected column are rejected, listing the
-    offending rows; incomplete subjects must be resolved upstream.
+    offending rows; incomplete subjects must be resolved upstream.  A
+    selected column that the header names twice is a :class:`ConfigError`.
 
     The file is streamed in chunks of 256 rows, each transposed into its
     columns, so memory is O(chunk + n * columns) rather than a string per
@@ -304,8 +314,8 @@ def ingest_csv(path: str | Path, config: ColumnConfig | Mapping | str | Path) ->
     those of a row-by-row read: a :class:`MissingValueError` listing every
     row with an empty or absent selected cell (short rows included) wins
     over any :class:`ParseError`, which names the first bad row and, within
-    it, the first bad cell in the order time, status (unparsable, then not
-    0 or 1), features.
+    it, the first bad cell in the order time, status (unparsable or not
+    finite, then not 0 or 1), features; a feature value must be finite too.
     """
     if isinstance(config, (str, Path)):
         config = ColumnConfig.from_json(config)
@@ -329,6 +339,9 @@ def ingest_csv(path: str | Path, config: ColumnConfig | Mapping | str | Path) ->
         for name in wanted:
             if name not in colidx:
                 raise ConfigError(f"column {name!r} not found in {path}")
+            if header.count(name) > 1:
+                raise ConfigError(f"column {name!r} appears more than once "
+                                  f"in {path}")
         cols = [colidx[name] for name in wanted]
         width = max(cols) + 1
         first_row = 1

@@ -24,7 +24,8 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .binning import BinningScheme, DegenerateRangeError, categorize, equal_width_bins
+from .binning import (BinningScheme, DegenerateRangeError, DegenerateSampleError,
+                      categorize, equal_width_bins)
 from .contingency import (_compact, _mass_cells, fuse_categories,
                           table_from_binned)
 from .data import Dataset
@@ -291,11 +292,14 @@ def reliability_null(dataset: Dataset, time_scheme: BinningScheme,
     reaches the last edge, which :func:`categorize` clips to bin ``n_bins``
     anyway, so a code is one plus the count of inner edges at or below the
     draw, counted in the narrowest unsigned integer that holds ``n_bins``.
+    Fewer than 2 records have no noise range: :class:`DegenerateRangeError`.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
+    if dataset.n < 2:
+        raise DegenerateRangeError("fewer than 2 records")
     masses = collection_masses(dataset, time_scheme)
     count = np.empty(dataset.n, dtype=np.min_scalar_type(n_bins))
     cells = np.empty((n_rep, n_bins, masses.shape[0]))
@@ -442,12 +446,13 @@ def ce_expansion(dataset: Dataset, time_scheme: BinningScheme,
     by the response's marginal entropy in this collection, together with
     the row mass and the dominant response category.  The mass rows are
     the collection's :func:`collection_masses`; the response margin is
-    their one-row table.
+    their one-row table.  A zero-entropy response raises
+    :class:`DegenerateSampleError`.
     """
     masses = collection_masses(dataset, time_scheme)
     h_resp = _response_entropy(masses)
     if h_resp <= 0:
-        raise ValueError("response has zero entropy in this collection")
+        raise DegenerateSampleError("response has zero entropy")
     dots: list[ExpansionDot] = []
     norm_exts = tuple(
         (ext,) if isinstance(ext, str) else tuple(ext) for ext in extensions

@@ -108,12 +108,13 @@ def test_null_equals_alt_when_profile_matches_marginal():
 
 
 def test_zero_mass_row_skipped_with_notice():
-    cells = np.array([[5.0, 3.0], [0.0, 0.0], [2.0, 4.0]])
-    t = ContingencyTable((1, 2, 3), (1, 2), cells)
+    cells = np.array([[5.0, 3.0], [0.0, 0.0], [2.0, 4.0], [0.4, 0.0]])
+    t = ContingencyTable((1, 2, 3, 4), (1, 2), cells)
     res = run_censor_test(table=t, n_sim=500, seed=0)
-    assert res.rows.skipped == [1]
-    assert np.isnan(res.rows.p_values[1])
-    assert any("zero mass" in note for note in res.notes)
+    assert res.rows.skipped == [1, 3]
+    assert np.isnan(res.rows.p_values[[1, 3]]).all()
+    assert res.notes[:2] == ["row 2 has zero mass; skipped",
+                             "row 4 has mass 0.4 (rounds to no draws); skipped"]
 
 
 def test_row_totals_round_half_up():

@@ -232,6 +232,8 @@ def test_analyze_deterministic_outputs(sim_files, tmp_path):
     ("mfs", ["--feature-bins", "1"]),
     ("mfs", ["--reliability", "-5"]),
     ("cox", ["--features", "V1,V1"]),
+    ("analyze", ["--seed", "-1", "--n-sim", "50"]),
+    ("simulate", ["--n", "10", "--censor-rate", "0.3", "--seed", "-1"]),
 ])
 def test_usage_errors_exit_2_before_any_output(sim_files, tmp_path, command,
                                                opts, capsys):
@@ -485,6 +487,9 @@ def test_zero_entropy_subcollection_has_header_only_expansion(tmp_path):
     assert len((outdir / "V1=3" / "ce_expansion.csv").read_bytes()
                .splitlines()) > 1
     assert (outdir / "manifest.json").exists()
+    assert json.loads((outdir / "manifest.json").read_text())["skipped"] == [
+        {"collection": "V1=4", "stage": "ce_expansion",
+         "reason": "response has zero entropy"}]
 
 
 @pytest.mark.filterwarnings("ignore:.*may be unstable")
@@ -503,6 +508,9 @@ def test_one_record_subcollection_has_header_only_null(tmp_path):
     with open(outdir / "V1=3" / "mfs_order1.csv", encoding="utf-8") as fh:
         assert all(r["reliability_p"] for r in csv.DictReader(fh))
     assert (outdir / "manifest.json").exists()
+    assert json.loads((outdir / "manifest.json").read_text())["skipped"] == [
+        {"collection": "V1=4", "stage": "reliability null",
+         "reason": "fewer than 2 records"}]
 
 
 def test_all_event_sample_warns_and_skips_censor_test(tmp_path):
@@ -563,13 +571,15 @@ def test_run_fails_before_output_or_finishes_with_manifest(tmp_path, case,
                                                            command, opts):
     """A degenerate sample either stops the run before it writes anything
     or the run finishes with a manifest that lists every file written;
-    ``analyze`` skips, with a warning, the stage the sample cannot support."""
+    ``analyze`` skips, with a warning, the stage the sample cannot support
+    and lists the skip in the manifest."""
     data, config = _edge_files(tmp_path, case)
     outdir = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main([command, "--input", str(data), "--config", str(config),
                    "--outdir", str(outdir), *opts])
+    manifest = {"skipped": []}
     if rc:
         assert not [p for p in outdir.rglob("*") if p.is_file()]
     else:
@@ -586,6 +596,14 @@ def test_run_fails_before_output_or_finishes_with_manifest(tmp_path, case,
     if command == "analyze" and skip:
         assert rc == 0
         assert f"whole sample: {skip}" in {str(w.message) for w in caught}
+    skips = {"all censored": [("Cox fit", "no events"),
+                              ("censor test", "no events")],
+             "two records": [("censor test", "degenerate marginal")],
+             "all events": [("censor test", "no censored records")],
+             }.get(case, []) if command == "analyze" else []
+    assert manifest["skipped"] == [
+        {"collection": "whole sample", "stage": stage, "reason": reason}
+        for stage, reason in skips]
 
 
 def test_binned_masses_and_categories_built_once_per_collection(

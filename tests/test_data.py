@@ -66,6 +66,26 @@ def test_ingest_bad_status_value(tmp_path):
         ingest_csv(path, {"time": "y", "status": "delta", "features": []})
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("column", ["y", "v1"])
+def test_ingest_rejects_non_finite_cell(tmp_path, cell, column):
+    path = tmp_path / "nonfinite.csv"
+    row = {"y": "2.0", "v1": "0.4", column: cell}
+    path.write_text(f"id,y,delta,v1\na,1.5,1,0.2\nb,{row['y']},0,{row['v1']}\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        ingest_csv(path, CONFIG)
+    assert err.value.row == 2
+
+
+def test_ingest_rejects_repeated_selected_column(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("id,y,delta,v1,v1\na,1.5,1,0.2,0.7\nb,2.0,0,0.4,0.1\n")
+    with pytest.raises(ConfigError, match="'v1' appears more than once"):
+        ingest_csv(path, CONFIG)
+    path.write_text("id,y,delta,v1,x,x\na,1.5,1,0.2,5,6\nb,2.0,0,0.4,7,8\n")
+    assert ingest_csv(path, CONFIG).feature("v1").tolist() == [0.2, 0.4]
+
+
 def test_config_from_json_file(tmp_path, tiny_csv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**CONFIG, "bins": {"v1": [0, 0.5, 1.0]}}))
@@ -119,6 +139,8 @@ def test_dataset_validation():
         Dataset(y=[1.0, np.inf], delta=[1, 0])
     with pytest.raises(ValueError):
         Dataset(y=[1.0], delta=[2])
+    with pytest.raises(ValueError, match="covariates must be finite"):
+        Dataset(y=[1.0, 2.0], delta=[1, 0], X=[[1.0], [np.nan]])
     with pytest.raises(ValueError):
         Dataset(y=[1.0, 2.0], delta=[1, 0], X=[[1.0], [2.0]],
                 feature_names=["a", "a"])

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports (``__init__.py``,
-which imports to re-export, is exempt)."""
+which imports to re-export, is exempt), and the command-line front end
+imports only public library names."""
 
 from __future__ import annotations
 
@@ -49,3 +50,21 @@ def test_checker_sees_unused_and_string_annotated_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Names with a leading underscore, dunders aside, that ``source``
+    imports."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for a in node.names
+                  if a.name.startswith("_") and not a.name.endswith("__"))
+
+
+def test_checker_sees_private_imports():
+    source = ("from .mfs import _response_entropy, run_mfs\n"
+              "from . import __version__\n")
+    assert private_imports(source) == ["_response_entropy"]
+
+
+def test_cli_imports_only_public_names():
+    assert private_imports((SRC / "cli.py").read_text(encoding="utf-8")) == []
